@@ -2,7 +2,7 @@
 
 Exit codes: 0 certified / all checks passed, 1 violations or refuted checks,
 2 undecided results present, 64 usage errors.  Output formats are text,
-json (schema_version 1), and csv; all UTF-8 with LF line endings.
+json (schema_version 2), and csv; all UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -149,6 +150,8 @@ class RunConfig:
             raise UsageError("starting precision must be in [16, precision cap]")
         if self.jobs < 1:
             raise UsageError("--jobs must be >= 1")
+        if self.exact_budget < 0:
+            raise UsageError("--exact-budget must be >= 0")
 
     def engine_opts(self) -> dict:
         return {
@@ -180,15 +183,21 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return DEFAULT_CAP_BITS
 
 
+def _given(args: argparse.Namespace, name: str, default: int) -> int:
+    # a flag set to 0 is honoured (or rejected), never replaced by the default
+    value = getattr(args, name, None)
+    return default if value is None else value
+
+
 def _config(args: argparse.Namespace, command: str, **extra) -> RunConfig:
     return RunConfig(
         command=command,
         fmt=args.format,
         out=args.out,
         precision_cap=_resolve_cap(args),
-        exact_budget=getattr(args, "exact_budget", None) or DEFAULT_EXACT_BUDGET,
-        start_bits=getattr(args, "start_bits", None) or DEFAULT_START_BITS,
-        jobs=getattr(args, "jobs", None) or 1,
+        exact_budget=_given(args, "exact_budget", DEFAULT_EXACT_BUDGET),
+        start_bits=_given(args, "start_bits", DEFAULT_START_BITS),
+        jobs=_given(args, "jobs", 1),
         extra=extra,
     )
 
@@ -214,7 +223,7 @@ def _emit(doc: dict, lines: list[str], csv_rows: list[list], cfg: RunConfig) -> 
 def _doc(command: str, cfg: RunConfig, results: list, violations: list,
          undecided: list, stats: dict, wall_ms: int) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "command": command,
         "config": cfg.to_json(),
         "results": results,
@@ -361,6 +370,16 @@ def cmd_find_start(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verdict_tally(detail: dict) -> Counter:
+    """Exact and interval verdicts behind one paper-suite result."""
+    if "exact" in detail:  # range aggregates tally their own verdicts
+        return Counter(exact=detail["exact"], interval=detail["interval"])
+    steps = [d for d in detail.values() if isinstance(d, dict)]
+    if steps:  # one detail per step
+        return sum(map(_verdict_tally, steps), Counter())
+    return Counter({detail.get("method"): detail.get("checked", 1)})
+
+
 def cmd_paper_suite(args: argparse.Namespace) -> int:
     cfg = _config(
         args, "paper-suite",
@@ -374,13 +393,15 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
         stirling_max=args.stirling_max,
         start_bits=cfg.start_bits,
         cap_bits=cfg.precision_cap,
+        exact_budget=cfg.exact_budget,
     )
     wall_ms = int((time.perf_counter() - t0) * 1000)
     refuted = [c.name for c in checks if c.status is CheckStatus.REFUTED]
     undecided = [c.name for c in checks if c.status is CheckStatus.UNDECIDED]
+    tally = sum((_verdict_tally(c.detail) for c in checks), Counter())
     stats = {
-        "exact": sum(1 for c in checks if c.detail.get("method") == "exact"),
-        "interval": sum(1 for c in checks if c.detail.get("method") == "interval"),
+        "exact": tally["exact"],
+        "interval": tally["interval"],
         "max_bits": max((c.detail.get("bits") or c.detail.get("max_bits") or 0)
                         for c in checks),
     }

@@ -7,9 +7,18 @@ positive rational x_i.  Three routes exist:
   doubling the precision until the enclosure excludes zero or a cap is hit;
 * exact cross-power: compare prod x_i^{c_i} against 1 with big integers,
   the only route that can certify S = 0;
-* adaptive (default): take the exact route immediately when the estimated
-  integer size is small, otherwise ladder first and fall back to exact
-  within a size budget, else report Undecided.
+* adaptive (default): choose between the two by predicted cost.  A fitted
+  model predicts the seconds of the exact route from the estimated
+  cross-power size and the seconds of one rung from the number of terms
+  and the precision.  The exact route runs first only when it is predicted
+  cheaper than the first rung.  After each rung that leaves zero inside the
+  enclosure, it runs once it is predicted cheaper than the next rung or
+  than the rungs already spent, so a tie never climbs far past the point
+  where the exact route would have been cheaper.  Ties therefore always end
+  on the exact route.  Sizes over the exact budget never take it; such
+  combinations climb to the cap and are reported Undecided if still
+  unresolved there.  The prediction only picks the route: the certificate,
+  and so the sign, comes from the route that ran.
 
 Root-ratio monotonicity reduces to such signs: with r_n =
 a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
@@ -42,8 +51,30 @@ from .sequences import Product, Sequence
 DEFAULT_START_BITS = 128
 DEFAULT_CAP_BITS = 1 << 16
 DEFAULT_EXACT_BUDGET = 1 << 31
-# below this estimated product size the exact route is cheaper than any ladder
-CHEAP_EXACT_BITS = 1 << 20
+
+# Cost model for choosing the route, in seconds on an Intel Xeon (2 CPUs,
+# Python 3.11).  Only the ratio of the two predictions matters, and it is
+# deterministic, so the route taken never depends on the load.
+#
+#   decide_exact (best of 3)              estimated bits      ms
+#     fibonacci ratio step, n = 12                 6 222   0.008
+#     fibonacci ratio step, n = 24                44 314    0.15
+#     Firoozbakht, n = 10^4                      360 018     3.9
+#     harmonic(10) ratio step, n = 16            519 596    15.7
+#     derangement ratio step, n = 48           2 003 878      98
+#   Karatsuba products: ~1.2e-11 s * bits^1.58 (median over 24 ratio steps
+#   of six sequences; the least-squares exponent is 1.59).
+#
+#   one rung, per term, ln cache cold (median of 10 bases)
+#     bits    128   256   512  1024  2048  4096  8192  16384
+#     ms     0.10  0.14  0.30  0.58   4.4    29   176    781
+#   ~9e-5 s + 1e-11 s * bits^2.6 per term: the atanh series needs O(bits)
+#   products of bits-bit integers.
+_EXACT_S = 1.2e-11
+_EXACT_POWER = 1.58
+_RUNG_TERM_S = 9e-5
+_RUNG_BIT_S = 1e-11
+_RUNG_POWER = 2.6
 
 
 class Direction(Enum):
@@ -134,6 +165,16 @@ def decide_exact(comb: LogCombination) -> Ordering:
     return Ordering.EQUAL
 
 
+def _exact_s(exact_bits: int) -> float:
+    """Predicted seconds of decide_exact for an estimated cross-power size."""
+    return _EXACT_S * min(exact_bits, 1 << 64) ** _EXACT_POWER
+
+
+def _rung_s(terms: int, bits: int) -> float:
+    """Predicted seconds of one evaluate_combination rung."""
+    return terms * (_RUNG_TERM_S + _RUNG_BIT_S * bits**_RUNG_POWER)
+
+
 def evaluate_combination(comb: LogCombination, bits: int) -> DyadicInterval:
     """Enclosure of sum c_i ln(x_i) at the given working precision."""
     _check_bits(bits)
@@ -165,10 +206,14 @@ def sign_of_log_combination(
         if cost > exact_budget:
             return Verdict(Ordering.UNDECIDED, None, None)
         return Verdict(decide_exact(comb), Method.EXACT, None)
-    if mode == "adaptive" and cost <= min(CHEAP_EXACT_BITS, exact_budget):
+    # predicted seconds of the exact route, None where it may not run
+    exact_s = _exact_s(cost) if mode == "adaptive" and cost <= exact_budget else None
+    terms = len(comb.terms)
+    bits = start_bits
+    if exact_s is not None and exact_s < _rung_s(terms, bits):
         return Verdict(decide_exact(comb), Method.EXACT, None)
     escalations = 0
-    bits = start_bits
+    spent = 0.0
     while True:
         enc = evaluate_combination(comb, bits)
         if enc.strictly_positive():
@@ -177,13 +222,12 @@ def sign_of_log_combination(
             return Verdict(Ordering.LESS, Method.INTERVAL, bits, escalations)
         if bits >= cap_bits:
             break
-        # once a rung costs as much as the whole exact comparison would
-        # (ties can never be separated by intervals), stop climbing early
-        if mode == "adaptive" and cost <= min(16 * bits, exact_budget):
-            return Verdict(decide_exact(comb), Method.EXACT, None, escalations)
+        spent += _rung_s(terms, bits)
         bits = min(bits * 2, cap_bits)
+        if exact_s is not None and exact_s < max(spent, _rung_s(terms, bits)):
+            return Verdict(decide_exact(comb), Method.EXACT, None, escalations)
         escalations += 1
-    if mode == "adaptive" and cost <= exact_budget:
+    if exact_s is not None:
         return Verdict(decide_exact(comb), Method.EXACT, None, escalations)
     return Verdict(Ordering.UNDECIDED, Method.INTERVAL, bits, escalations)
 
@@ -260,7 +304,13 @@ class MethodStats:
         )
 
     def to_json(self) -> dict:
-        return {"exact": self.exact, "interval": self.interval, "max_bits": self.max_bits}
+        return {
+            "exact": self.exact,
+            "interval": self.interval,
+            "undecided": self.undecided,
+            "max_bits": self.max_bits,
+            "escalations": self.escalations,
+        }
 
 
 @dataclass(frozen=True)

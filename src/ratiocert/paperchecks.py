@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from .compare import (
     DEFAULT_CAP_BITS,
+    DEFAULT_EXACT_BUDGET,
     DEFAULT_START_BITS,
     LogCombination,
     Method,
@@ -605,7 +606,8 @@ def check_prime_ratio_range(
             )
     return CheckResult(
         f"prime-ratio-range({start}..{stop})", CheckStatus.CERTIFIED, None,
-        {"range": [start, stop], "max_bits": worst_bits, "method": "interval"},
+        {"range": [start, stop], "checked": stop - start + 1, "max_bits": worst_bits,
+         "method": "interval"},
     )
 
 
@@ -639,9 +641,11 @@ def paper_suite(
     stirling_max: int = 100,
     start_bits: int = DEFAULT_START_BITS,
     cap_bits: int = DEFAULT_CAP_BITS,
+    exact_budget: int = DEFAULT_EXACT_BUDGET,
 ) -> list[CheckResult]:
     """Every named check over its claimed region, sized for an interactive run."""
-    results = list(constants_suite())
+    opts = {"start_bits": start_bits, "cap_bits": cap_bits, "exact_budget": exact_budget}
+    results = list(constants_suite(**opts))
     results.extend(
         check_lucas_gap_bound(a, b, n, max(start_bits, 256), cap_bits)
         for (a, b, n) in ((1, -1, 4), (1, -1, 6), (2, -1, 10))
@@ -650,7 +654,7 @@ def paper_suite(
         check_unit_discriminant_tail(a, b, n, max(start_bits, 256), cap_bits)
         for (a, b, n) in ((3, 2, 50), (5, 6, 20))
     )
-    results.append(check_derangement_window())
+    results.append(check_derangement_window(**opts))
     results.append(
         _aggregate_range(
             "derangement-offset-range",
@@ -678,8 +682,8 @@ def paper_suite(
     )
     # (m=1, n=30) already appears in the constants suite above
     results.append(check_harmonic_xlogx(11, 3, start_bits, cap_bits))
-    results.append(check_harmonic_window())
-    results.append(check_firoozbakht_range(1, prime_horizon))
+    results.append(check_harmonic_window(**opts))
+    results.append(check_firoozbakht_range(1, prime_horizon, **opts))
     results.append(check_prime_ratio_range(5, prime_horizon, start_bits, cap_bits))
     return results
 

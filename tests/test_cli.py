@@ -81,6 +81,23 @@ class TestExitCodes:
         for argv in bad_cases:
             assert main(argv) == EXIT_USAGE, argv
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--jobs", "0"), ("--start-bits", "0"), ("--exact-budget", "-1"),
+    ])
+    def test_bad_engine_values_are_usage_errors(self, flag, value):
+        assert main(["check", "--seq", "fibonacci", "--from", "4", "--to", "10",
+                     "--direction", "decreasing", flag, value]) == EXIT_USAGE
+
+    def test_zero_exact_budget_is_honoured(self, capsys):
+        code, doc = run_json(
+            capsys,
+            ["check", "--seq", "fibonacci", "--from", "4", "--to", "10",
+             "--direction", "decreasing", "--exact-budget", "0"],
+        )
+        assert code == EXIT_OK
+        assert doc["config"]["exact_budget"] == 0
+        assert doc["stats"]["exact"] == 0
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
 
@@ -109,11 +126,11 @@ class TestJsonSchema:
         )
         assert code == EXIT_VIOLATIONS
         assert set(doc) == SCHEMA_KEYS
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["command"] == "check"
         assert doc["violations"] == [1, 3]
         assert doc["undecided"] == []
-        assert set(doc["stats"]) == {"exact", "interval", "max_bits"}
+        assert set(doc["stats"]) == {"exact", "interval", "undecided", "max_bits", "escalations"}
         assert isinstance(doc["wall_ms"], int)
         assert doc["results"][0]["min_valid_start"] == 4
 
@@ -137,6 +154,43 @@ class TestJsonSchema:
         assert code == EXIT_OK
         assert set(doc) == SCHEMA_KEYS
         assert all(r["status"] == "certified" for r in doc["results"])
+        # firoozbakht-range(1..120) alone holds 120 verdicts
+        assert doc["stats"]["exact"] + doc["stats"]["interval"] >= 120
+
+    def test_paper_suite_honours_engine_flags(self, capsys):
+        code, doc = run_json(
+            capsys,
+            ["paper-suite", "--prime-horizon", "120", "--offset-max", "12",
+             "--stirling-max", "12", "--exact-budget", "0", "--start-bits", "256"],
+        )
+        assert code == EXIT_OK
+        assert doc["config"]["exact_budget"] == 0
+        assert doc["stats"]["exact"] == 0
+        detail = {r["name"]: r["detail"] for r in doc["results"]}
+        for name in ("derangement-window", "harmonic-window", "firoozbakht-range(1..120)"):
+            assert detail[name]["exact"] == 0 and detail[name]["max_bits"] >= 256
+        assert detail["fibonacci-steps-4-5"]["n=4"]["bits"] >= 256
+
+    def test_check_stats_count_escalations_and_undecided(self, capsys):
+        # lucas(3,2) steps lie about 2^-n from a tie; a 128-bit cap leaves
+        # some undecided once the exact route is barred
+        code, doc = run_json(
+            capsys,
+            ["check", "--seq", "lucas:3,2", "--from", "100", "--to", "140",
+             "--direction", "decreasing", "--precision-cap", "128",
+             "--exact-budget", "0", "--jobs", "1"],
+        )
+        assert code == EXIT_UNDECIDED
+        stats = doc["stats"]
+        assert stats["undecided"] == len(doc["undecided"]) > 0
+        assert stats["exact"] + stats["interval"] == 39
+        _, doc = run_json(
+            capsys,
+            ["check", "--seq", "lucas:3,2", "--from", "100", "--to", "140",
+             "--direction", "decreasing", "--jobs", "1"],
+        )
+        assert doc["stats"]["undecided"] == 0
+        assert doc["stats"]["escalations"] > 0
 
     def test_table_document(self, capsys):
         code, doc = run_json(

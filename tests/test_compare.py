@@ -160,6 +160,24 @@ class TestSignOfLogCombination:
         assert v.ordering is Ordering.GREATER
         assert v.method is Method.INTERVAL and v.escalations > 0
 
+    def test_wide_margin_with_large_cross_power_takes_first_rung(self):
+        # ~1M and ~360k-bit cross-powers: one 128-bit rung is far cheaper
+        p, q = Primes().term(10**4), Primes().term(10**4 + 1)
+        firoozbakht = LogCombination.from_pairs([(10**4, q), (-(10**4 + 1), p)])
+        for comb in (ratio_step_combination(Harmonic(10), 20), firoozbakht):
+            assert estimate_exact_bits(comb) > 300_000
+            v = sign_of_log_combination(comb)
+            assert v.ordering is decide_exact(comb)
+            assert v.method is Method.INTERVAL
+            assert v.bits == 128 and v.escalations == 0
+
+    def test_moderate_tie_goes_exact_before_the_cap(self):
+        # 125k and 3M-bit cross-powers; the cap is 9 doublings above 128 bits
+        for n, most in ((20, 3), (60, 5)):
+            v = ratio_step_verdict(Geometric(10), n)
+            assert v.ordering is Ordering.EQUAL and v.method is Method.EXACT
+            assert v.escalations <= most
+
     def test_adaptive_budget_exhaustion_is_undecided(self):
         big = 2**200000
         comb = LogCombination.from_pairs(
@@ -286,11 +304,13 @@ class TestRatioStep:
             for n in range(seq.domain_start, 61):
                 comb = ratio_step_combination(seq, n)
                 ladder = sign_of_log_combination(comb, mode="interval")
+                adaptive = sign_of_log_combination(comb)
                 exact = sign_of_log_combination(
                     comb, mode="exact", exact_budget=1 << 62
                 )
                 assert exact.ordering is not Ordering.UNDECIDED
                 assert ladder.ordering is exact.ordering, (seq.name, n)
+                assert adaptive.ordering is exact.ordering, (seq.name, n)
 
 
 # ---------------------------------------------------------------------------
