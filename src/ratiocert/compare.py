@@ -39,10 +39,10 @@ from .numerics import (
     DyadicInterval,
     Ordering,
     _check_bits,
+    _fixed_interval,
+    _ln_exact,
     interval_ln,
-    iv_add_exact,
     iv_div_scalar,
-    iv_scale,
     iv_sub_exact,
     round_outward,
 )
@@ -57,23 +57,26 @@ DEFAULT_EXACT_BUDGET = 1 << 31
 # deterministic, so the route taken never depends on the load.
 #
 #   decide_exact (best of 3)              estimated bits      ms
-#     fibonacci ratio step, n = 12                 6 222   0.008
-#     fibonacci ratio step, n = 24                44 314    0.15
-#     Firoozbakht, n = 10^4                      360 018     3.9
-#     harmonic(10) ratio step, n = 16            519 596    15.7
-#     derangement ratio step, n = 48           2 003 878      98
+#     fibonacci ratio step, n = 12                 6 222   0.014
+#     fibonacci ratio step, n = 24                44 314    0.22
+#     Firoozbakht, n = 10^4                      360 018     5.4
+#     harmonic(10) ratio step, n = 16            519 596    23.9
+#     derangement ratio step, n = 48           2 003 878     129
 #   Karatsuba products: ~1.2e-11 s * bits^1.58 (median over 24 ratio steps
 #   of six sequences; the least-squares exponent is 1.59).
 #
-#   one rung, per term, ln cache cold (median of 10 bases)
-#     bits    128   256   512  1024  2048  4096  8192  16384
-#     ms     0.10  0.14  0.30  0.58   4.4    29   176    781
-#   ~9e-5 s + 1e-11 s * bits^2.6 per term: the atanh series needs O(bits)
-#   products of bits-bit integers.
+#   one rung, per term, ln cache cold (median of 10 ratio steps of six
+#   sequences, best of 5)
+#     bits    128    256   512  1024  2048  4096  8192  16384
+#     ms    0.039  0.069  0.20  0.56   2.5    19   121    719
+#   ~4e-5 s + 8e-12 s * bits^2.6 per term: the atanh series needs O(bits)
+#   products of bits-bit integers.  Both tables come from one run.  Within a
+#   scan each term's ln is computed once and reused by the next two steps, so
+#   there a rung costs about a third of this prediction.
 _EXACT_S = 1.2e-11
 _EXACT_POWER = 1.58
-_RUNG_TERM_S = 9e-5
-_RUNG_BIT_S = 1e-11
+_RUNG_TERM_S = 4e-5
+_RUNG_BIT_S = 8e-12
 _RUNG_POWER = 2.6
 
 
@@ -176,13 +179,23 @@ def _rung_s(terms: int, bits: int) -> float:
 
 
 def evaluate_combination(comb: LogCombination, bits: int) -> DyadicInterval:
-    """Enclosure of sum c_i ln(x_i) at the given working precision."""
+    """Enclosure of sum c_i ln(x_i) at the given working precision.
+
+    The exact numerator and denominator of each base go straight into the ln
+    kernel, and the sum is taken on plain integers at the kernel's one scale.
+    """
     _check_bits(bits)
-    total = DyadicInterval.point(0)
+    lo = hi = 0
     for t in comb.terms:
-        enc = round_outward(t.base, bits)
-        total = iv_add_exact(total, iv_scale(interval_ln(enc, bits), t.coefficient))
-    return total
+        c = t.coefficient
+        t_lo, t_hi = _ln_exact(t.base, bits)
+        if c > 0:
+            lo += c * t_lo
+            hi += c * t_hi
+        else:
+            lo += c * t_hi
+            hi += c * t_lo
+    return _fixed_interval(lo, hi, bits)
 
 
 def sign_of_log_combination(

@@ -19,6 +19,14 @@ remainder bounds:
 Both kernels run in fixed-point integer arithmetic (scale 2**-W with W a few
 words above the requested precision) and every division or shift is floored
 or ceiled in the direction that keeps the enclosure valid.
+
+The ln kernel returns a plain integer pair (lo, hi) meaning [lo, hi] * 2**-w,
+one scale w = bits + 8 per precision.  An exact integer goes into it as it
+is, with no rounding first, and a rational as its numerator and denominator,
+so a sum of integer multiples of logs is taken on plain integers at that one
+scale and wrapped in a DyadicInterval once.  The kernel's cache is bounded
+to a scan's working set (64 entries), so memory does not grow with the
+length of a scan or the size of its terms.
 """
 
 from __future__ import annotations
@@ -66,10 +74,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _shr_floor(x: int, s: int) -> int:
-    return x >> s
-
-
 def _shr_ceil(x: int, s: int) -> int:
     return -((-x) >> s)
 
@@ -93,10 +97,6 @@ class Dyadic:
                 e += tz
         object.__setattr__(self, "mantissa", m)
         object.__setattr__(self, "exponent", e)
-
-    @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
 
     def as_fraction(self) -> Fraction:
         if self.exponent >= 0:
@@ -453,9 +453,12 @@ def _ln2_fixed(scale: int) -> tuple[int, int]:
     return got
 
 
-@lru_cache(maxsize=1 << 16)
-def _ln_point(m: int, e: int, bits: int) -> tuple[Dyadic, Dyadic]:
-    # enclosure of ln(m * 2**e) for m > 0 at roughly bits-bit absolute scale
+# A scan uses each term in three consecutive windows, at the few precisions
+# its steps climb to; 64 entries keep every such reuse while holding only the
+# scan's working set, however long the scan and however large its terms.
+@lru_cache(maxsize=64)
+def _ln_fixed(m: int, e: int, bits: int) -> tuple[int, int]:
+    # enclosure [lo, hi] * 2**-w of ln(m * 2**e) for m > 0, w = bits + extra
     t = m.bit_length() - 1
     k = e + t
     if 3 << t <= 2 * m:
@@ -466,11 +469,10 @@ def _ln_point(m: int, e: int, bits: int) -> tuple[Dyadic, Dyadic]:
         d0 = 1 << t
     zn = m - d0
     if zn == 0 and k == 0:
-        return _D_ZERO, _D_ZERO
+        return 0, 0
     if abs(k) >= 1 << 30:
         raise OverflowError("argument exponent too large for the ln kernel")
-    w = bits + _KERNEL_EXTRA_BITS
-    scale = w + _KERNEL_GUARD_BITS
+    scale = bits + _KERNEL_EXTRA_BITS + _KERNEL_GUARD_BITS
     a_lo, a_hi = _atanh_fixed(zn, m + d0, scale)
     lo = 2 * a_lo
     hi = 2 * a_hi
@@ -484,9 +486,26 @@ def _ln_point(m: int, e: int, bits: int) -> tuple[Dyadic, Dyadic]:
             hi += k * l2_lo
     # final pad of one ulp at the target scale keeps enclosures at higher
     # precision strictly nested inside enclosures at lower precision
-    lo_w = (lo >> _KERNEL_GUARD_BITS) - 1
-    hi_w = _shr_ceil(hi, _KERNEL_GUARD_BITS) + 1
-    return Dyadic(lo_w, -w), Dyadic(hi_w, -w)
+    return (lo >> _KERNEL_GUARD_BITS) - 1, _shr_ceil(hi, _KERNEL_GUARD_BITS) + 1
+
+
+def _ln_exact(x, bits: int) -> tuple[int, int]:
+    # enclosure [lo, hi] * 2**-w of ln(x) for a positive int or Fraction x:
+    # one kernel call for the numerator, one for a denominator other than 1.
+    # Each call carries its own nesting pad, and so does their difference.
+    lo, hi = _ln_fixed(x.numerator, 0, bits)
+    den = x.denominator
+    if den != 1:
+        d_lo, d_hi = _ln_fixed(den, 0, bits)
+        lo -= d_hi
+        hi -= d_lo
+    return lo, hi
+
+
+def _fixed_interval(lo: int, hi: int, bits: int) -> DyadicInterval:
+    """The interval [lo, hi] * 2**-w at the ln kernel's scale for bits."""
+    w = bits + _KERNEL_EXTRA_BITS
+    return DyadicInterval(Dyadic(lo, -w), Dyadic(hi, -w))
 
 
 def interval_ln(x, bits: int) -> DyadicInterval:
@@ -494,8 +513,8 @@ def interval_ln(x, bits: int) -> DyadicInterval:
 
     For intervals this is the image ln([lo, hi]) and requires lo > 0.  The
     result at a precision contains the result at any higher precision for the
-    same argument, and exact dyadic representations of 1 return the exact
-    point [0, 0].
+    same argument, and exact representations of 1 return the exact point
+    [0, 0].
     """
     _check_bits(bits)
     if isinstance(x, DyadicInterval):
@@ -503,35 +522,18 @@ def interval_ln(x, bits: int) -> DyadicInterval:
             raise NonPositiveArgument(
                 f"ln requires a strictly positive interval, got {x}"
             )
-        lo_pair = _ln_point(x.lo.mantissa, x.lo.exponent, bits)
-        if x.is_point():
-            return DyadicInterval(lo_pair[0], lo_pair[1])
-        hi_pair = _ln_point(x.hi.mantissa, x.hi.exponent, bits)
-        return DyadicInterval(lo_pair[0], hi_pair[1])
+        lo, hi = _ln_fixed(x.lo.mantissa, x.lo.exponent, bits)
+        if not x.is_point():
+            hi = _ln_fixed(x.hi.mantissa, x.hi.exponent, bits)[1]
+        return _fixed_interval(lo, hi, bits)
     if isinstance(x, Dyadic):
         if x.mantissa <= 0:
             raise NonPositiveArgument(f"ln requires a positive argument, got {x}")
-        pair = _ln_point(x.mantissa, x.exponent, bits)
-        return DyadicInterval(pair[0], pair[1])
-    if isinstance(x, int):
+        return _fixed_interval(*_ln_fixed(x.mantissa, x.exponent, bits), bits)
+    if isinstance(x, (int, Fraction)):
         if x <= 0:
             raise NonPositiveArgument(f"ln requires a positive argument, got {x}")
-        pair = _ln_point(x, 0, bits)
-        return DyadicInterval(pair[0], pair[1])
-    if isinstance(x, Fraction):
-        if x <= 0:
-            raise NonPositiveArgument(f"ln requires a positive argument, got {x}")
-        num, den = x.numerator, x.denominator
-        if den & (den - 1) == 0:
-            pair = _ln_point(num, -(den.bit_length() - 1), bits)
-            return DyadicInterval(pair[0], pair[1])
-        # ln(num/den) = ln(num) - ln(den); both kernel enclosures carry their
-        # own nesting pad, and exact dyadic subtraction preserves nesting
-        n_lo, n_hi = _ln_point(num, 0, bits)
-        d_lo, d_hi = _ln_point(den, 0, bits)
-        return iv_sub_exact(
-            DyadicInterval(n_lo, n_hi), DyadicInterval(d_lo, d_hi)
-        )
+        return _fixed_interval(*_ln_exact(x, bits), bits)
     raise TypeError(f"unsupported ln argument type {type(x).__name__}")
 
 

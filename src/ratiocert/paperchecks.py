@@ -548,10 +548,10 @@ def check_prime_ratio_refinement(
 
     def margin(bits: int) -> DyadicInterval:
         lhs = iv_sub_exact(
-            iv_div_scalar(interval_ln(round_outward(p_next, bits), bits), n + 1, bits),
-            iv_div_scalar(interval_ln(round_outward(p, bits), bits), n, bits),
+            iv_div_scalar(interval_ln(p_next, bits), n + 1, bits),
+            iv_div_scalar(interval_ln(p, bits), n, bits),
         )
-        ln_n = interval_ln(round_outward(n, bits), bits)
+        ln_n = interval_ln(n, bits)
         u = iv_div_scalar(interval_ln(ln_n, bits), 2 * n * n, bits)
         arg = iv_sub(DyadicInterval.point(1), u, bits)
         rhs_log = interval_ln(arg, bits)

@@ -475,3 +475,81 @@ class TestVerdictInvariants:
         pad = Fraction(1, 10**40)
         assert enc.lo.as_fraction() <= truth_frac + pad
         assert truth_frac - pad <= enc.hi.as_fraction()
+
+
+# ---------------------------------------------------------------------------
+# interval rungs: enclosures, kernel reuse, memory
+
+def _integer(bits: int, seed: int) -> int:
+    # built from a seed, so hypothesis never holds (or prints) a 20k-bit int
+    return random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+
+
+@st.composite
+def log_combinations(draw):
+    """Terms over a small pool of bases, so bases and their integers repeat;
+    integers up to 20k bits, Fraction bases with odd denominators."""
+    whole = st.builds(_integer, st.integers(1, 20000), st.integers(0, 2**32))
+    odd = st.integers(0, 2**64).map(lambda k: 2 * k + 1)
+    base = st.builds(Fraction, whole, st.one_of(st.just(1), odd))
+    pool = draw(st.lists(base, min_size=1, max_size=3))
+    coefficient = st.integers(-(10**6), 10**6).filter(bool)
+    terms = draw(st.lists(st.tuples(coefficient, st.sampled_from(pool)), min_size=1, max_size=5))
+    return LogCombination(tuple(LogTerm(c, b) for c, b in terms))
+
+
+class TestEvaluateCombination:
+    @given(log_combinations())
+    @settings(max_examples=40, deadline=None)
+    def test_contains_oracle_and_nests(self, comb):
+        import mpmath
+
+        with mpmath.workprec(2048 + 256):
+            truth = mpmath.fsum(
+                t.coefficient * (mpmath.log(t.base.numerator) - mpmath.log(t.base.denominator))
+                for t in comb.terms
+            )
+        man, exp = truth.man_exp
+        truth_frac = int(mpmath.sign(truth)) * Fraction(man) * Fraction(2) ** exp
+        pad = Fraction(1, 2**2100)
+        outer = None
+        for bits in (128, 256, 512, 1024, 2048):
+            enc = evaluate_combination(comb, bits)
+            assert enc.lo.as_fraction() <= truth_frac + pad
+            assert truth_frac - pad <= enc.hi.as_fraction()
+            if outer is not None:
+                assert outer.encloses(enc)
+            outer = enc
+
+    @pytest.mark.parametrize("spec, start, stop, direction", [
+        (fibonacci(), 4, 400, Direction.DECREASING),
+        (Harmonic(2), 3, 300, Direction.INCREASING),
+        (Product(fibonacci(), Derangement()), 3, 200, Direction.DECREASING),
+    ])
+    def test_scan_evaluates_each_integer_once(self, spec, start, stop, direction):
+        from ratiocert import numerics
+
+        numerics._ln_fixed.cache_clear()
+        report = check_monotone(spec, start, stop, direction, mode="interval")
+        assert report.certified()
+        assert report.stats.max_bits == 128 and report.stats.escalations == 0
+        integers = set()
+        for leaf in (spec.left, spec.right) if isinstance(spec, Product) else (spec,):
+            for n in range(start, stop + 1):
+                x = leaf.term(n)
+                integers.add(x.numerator)
+                if x.denominator != 1:
+                    integers.add(x.denominator)
+        assert numerics._ln_fixed.cache_info().misses == len(integers)
+
+    def test_long_scan_memory_stays_bounded(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            report = check_monotone(Harmonic(1), 3, 6000, Direction.INCREASING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.certified()
+        assert peak < 2 * 10**6
