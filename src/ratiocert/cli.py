@@ -12,9 +12,9 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 from .compare import (
@@ -22,6 +22,7 @@ from .compare import (
     DEFAULT_EXACT_BUDGET,
     DEFAULT_START_BITS,
     Direction,
+    MethodStats,
     MonotonicityReport,
     check_monotone,
     combine_reports,
@@ -370,16 +371,6 @@ def cmd_find_start(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verdict_tally(detail: dict) -> Counter:
-    """Exact and interval verdicts behind one paper-suite result."""
-    if "exact" in detail:  # range aggregates tally their own verdicts
-        return Counter(exact=detail["exact"], interval=detail["interval"])
-    steps = [d for d in detail.values() if isinstance(d, dict)]
-    if steps:  # one detail per step
-        return sum(map(_verdict_tally, steps), Counter())
-    return Counter({detail.get("method"): detail.get("checked", 1)})
-
-
 def cmd_paper_suite(args: argparse.Namespace) -> int:
     cfg = _config(
         args, "paper-suite",
@@ -398,13 +389,8 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
     wall_ms = int((time.perf_counter() - t0) * 1000)
     refuted = [c.name for c in checks if c.status is CheckStatus.REFUTED]
     undecided = [c.name for c in checks if c.status is CheckStatus.UNDECIDED]
-    tally = sum((_verdict_tally(c.detail) for c in checks), Counter())
-    stats = {
-        "exact": tally["exact"],
-        "interval": tally["interval"],
-        "max_bits": max((c.detail.get("bits") or c.detail.get("max_bits") or 0)
-                        for c in checks),
-    }
+    total = reduce(MethodStats.merged, (c.stats for c in checks), MethodStats())
+    stats = {"exact": total.exact, "interval": total.interval, "max_bits": total.max_bits}
     doc = _doc(
         "paper-suite", cfg, [c.to_json() for c in checks], refuted, undecided,
         stats, wall_ms,
@@ -413,9 +399,8 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
     for c in checks:
         margin = c.detail.get("margin")
         extra = f" margin=[{margin[0]:.6g}, {margin[1]:.6g}]" if margin else ""
-        bits = c.detail.get("bits") or c.detail.get("max_bits")
-        if bits:
-            extra += f" bits={bits}"
+        if c.stats.max_bits:
+            extra += f" bits={c.stats.max_bits}"
         lines.append(f"{c.name}: {c.status.value.upper()}{extra}")
     lines.append(
         f"summary: {len(checks)} checks, {len(refuted)} refuted, "
@@ -423,7 +408,7 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
     )
     csv_rows = [["name", "status", "bits"]]
     csv_rows += [
-        [c.name, c.status.value, c.detail.get("bits") or c.detail.get("max_bits") or ""]
+        [c.name, c.status.value, c.stats.max_bits or ""]
         for c in checks
     ]
     _emit(doc, lines, csv_rows, cfg)

@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence as Seq
 
@@ -198,6 +199,18 @@ def evaluate_combination(comb: LogCombination, bits: int) -> DyadicInterval:
     return _fixed_interval(lo, hi, bits)
 
 
+@lru_cache(maxsize=64, typed=True)
+def _ladder(start_bits: int, cap_bits: int) -> tuple[int, ...]:
+    """The working precisions of a certificate: start, 2*start, ... up to the cap."""
+    _check_bits(start_bits)
+    if cap_bits < start_bits:
+        raise ValueError("precision cap below starting precision")
+    rungs = [start_bits]
+    while rungs[-1] < cap_bits:
+        rungs.append(min(rungs[-1] * 2, cap_bits))
+    return tuple(rungs)
+
+
 def sign_of_log_combination(
     comb: LogCombination,
     *,
@@ -207,9 +220,7 @@ def sign_of_log_combination(
     mode: str = "adaptive",
 ) -> Verdict:
     """Certified sign of the combination; see module docstring for routes."""
-    _check_bits(start_bits)
-    if cap_bits < start_bits:
-        raise ValueError("precision cap below starting precision")
+    rungs = _ladder(start_bits, cap_bits)
     if mode not in ("adaptive", "interval", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if not comb.terms:
@@ -222,27 +233,19 @@ def sign_of_log_combination(
     # predicted seconds of the exact route, None where it may not run
     exact_s = _exact_s(cost) if mode == "adaptive" and cost <= exact_budget else None
     terms = len(comb.terms)
-    bits = start_bits
-    if exact_s is not None and exact_s < _rung_s(terms, bits):
-        return Verdict(decide_exact(comb), Method.EXACT, None)
-    escalations = 0
     spent = 0.0
-    while True:
+    for i, bits in enumerate(rungs):
+        if exact_s is not None and exact_s < max(spent, _rung_s(terms, bits)):
+            return Verdict(decide_exact(comb), Method.EXACT, None, max(i - 1, 0))
         enc = evaluate_combination(comb, bits)
         if enc.strictly_positive():
-            return Verdict(Ordering.GREATER, Method.INTERVAL, bits, escalations)
+            return Verdict(Ordering.GREATER, Method.INTERVAL, bits, i)
         if enc.strictly_negative():
-            return Verdict(Ordering.LESS, Method.INTERVAL, bits, escalations)
-        if bits >= cap_bits:
-            break
+            return Verdict(Ordering.LESS, Method.INTERVAL, bits, i)
         spent += _rung_s(terms, bits)
-        bits = min(bits * 2, cap_bits)
-        if exact_s is not None and exact_s < max(spent, _rung_s(terms, bits)):
-            return Verdict(decide_exact(comb), Method.EXACT, None, escalations)
-        escalations += 1
     if exact_s is not None:
-        return Verdict(decide_exact(comb), Method.EXACT, None, escalations)
-    return Verdict(Ordering.UNDECIDED, Method.INTERVAL, bits, escalations)
+        return Verdict(decide_exact(comb), Method.EXACT, None, i)
+    return Verdict(Ordering.UNDECIDED, Method.INTERVAL, bits, i)
 
 
 def cmp_roots(a_lo: Fraction, n: int, a_hi: Fraction, **opts) -> Verdict:
@@ -301,11 +304,28 @@ def ratio_step_verdict(spec: Sequence, n: int, **opts) -> Verdict:
 
 @dataclass(frozen=True)
 class MethodStats:
+    """Tally of verdicts by route; an undecided interval verdict counts under
+    both `interval` and `undecided`."""
+
     exact: int = 0
     interval: int = 0
     undecided: int = 0
     max_bits: int = 0
     escalations: int = 0
+
+    @classmethod
+    def of(cls, verdicts: Iterable[Verdict]) -> "MethodStats":
+        exact = interval = undecided = max_bits = escalations = 0
+        for v in verdicts:
+            if v.method is Method.EXACT:
+                exact += 1
+            elif v.method is Method.INTERVAL:
+                interval += 1
+                max_bits = max(max_bits, v.bits)
+            if v.ordering is Ordering.UNDECIDED:
+                undecided += 1
+            escalations += v.escalations
+        return cls(exact, interval, undecided, max_bits, escalations)
 
     def merged(self, other: "MethodStats") -> "MethodStats":
         return MethodStats(
@@ -367,24 +387,21 @@ def check_monotone(
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
     violations: list[int] = []
     undecided: list[int] = []
-    exact = interval = undec = max_bits = escal = 0
-    for n in range(start, stop - 1):
-        comb = LogCombination.from_pairs(_window_pairs(n, [tuple(w) for w in windows]))
-        v = sign_of_log_combination(comb, **opts)
-        if v.ordering is Ordering.UNDECIDED:
-            undecided.append(n)
-            undec += 1
-        elif v.ordering is not expected:
-            violations.append(n)
-        if v.method is Method.EXACT:
-            exact += 1
-        elif v.method is Method.INTERVAL:
-            interval += 1
-            max_bits = max(max_bits, v.bits or 0)
-        escal += v.escalations
-        if n < stop - 2:
-            for w, it in zip(windows, iters):
-                w.append(next(it))
+
+    def verdicts() -> Iterator[Verdict]:
+        for n in range(start, stop - 1):
+            comb = LogCombination.from_pairs(_window_pairs(n, [tuple(w) for w in windows]))
+            v = sign_of_log_combination(comb, **opts)
+            if v.ordering is Ordering.UNDECIDED:
+                undecided.append(n)
+            elif v.ordering is not expected:
+                violations.append(n)
+            yield v
+            if n < stop - 2:
+                for w, it in zip(windows, iters):
+                    w.append(next(it))
+
+    stats = MethodStats.of(verdicts())
     return MonotonicityReport(
         sequence=spec.name,
         start=start,
@@ -393,7 +410,7 @@ def check_monotone(
         violations=tuple(violations),
         undecided=tuple(undecided),
         min_valid_start=_min_valid_start(start, violations),
-        stats=MethodStats(exact, interval, undec, max_bits, escal),
+        stats=stats,
     )
 
 

@@ -321,11 +321,6 @@ def iv_shift(a: DyadicInterval, k: int) -> DyadicInterval:
                           Dyadic(a.hi.mantissa, a.hi.exponent + k))
 
 
-def iv_add(a: DyadicInterval, b: DyadicInterval, bits: int) -> DyadicInterval:
-    _check_bits(bits)
-    return iv_round(iv_add_exact(a, b), bits)
-
-
 def iv_sub(a: DyadicInterval, b: DyadicInterval, bits: int) -> DyadicInterval:
     _check_bits(bits)
     return iv_round(iv_sub_exact(a, b), bits)
@@ -354,19 +349,6 @@ def iv_div_scalar(a: DyadicInterval, d: int, bits: int) -> DyadicInterval:
         raise ValueError("scalar divisor must be positive")
     return DyadicInterval(_round_frac_down(a.lo.as_fraction() / d, bits),
                           _round_frac_up(a.hi.as_fraction() / d, bits))
-
-
-def interval_arith(a: DyadicInterval, b: DyadicInterval, op: str, bits: int) -> DyadicInterval:
-    """Dispatch one of add/sub/mul/div with outward rounding to bits."""
-    if op == "add":
-        return iv_add(a, b, bits)
-    if op == "sub":
-        return iv_sub(a, b, bits)
-    if op == "mul":
-        return iv_mul(a, b, bits)
-    if op == "div":
-        return iv_div(a, b, bits)
-    raise ValueError(f"unknown interval operation {op!r}")
 
 
 def iv_pow_nonneg(a: DyadicInterval, k: int, bits: int) -> DyadicInterval:

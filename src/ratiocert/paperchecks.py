@@ -1,11 +1,17 @@
 """Named finite verifications, each returning a machine-checkable certificate.
 
 Every check evaluates a concrete inequality instance with certified interval
-enclosures (escalating precision on a doubling ladder) or exact rational
-arithmetic, and reports Certified / Refuted / Undecided together with the
-enclosures that justify the answer.  A strict inequality is certified only
-when the margin enclosure excludes zero on the right side; a non-strict one
-when the boundary value is cleared exactly.
+enclosures or exact rational arithmetic, and reports Certified / Refuted /
+Undecided together with the enclosures that justify the answer.  A strict
+inequality is certified only when the margin enclosure excludes zero on the
+right side; a non-strict one when the boundary value is cleared exactly.
+
+Interval checks climb the same precision ladder as the ratio-step verdicts
+(start_bits, doubling up to cap_bits; a cap below the start is a ValueError)
+and stop at the first rung that decides them.  Every CheckResult carries a
+MethodStats record of the verdicts behind it: one interval verdict for a
+single-ladder check, every verdict reached for a window or a range.  The
+record is not part of the JSON document; the CLI sums it into `stats`.
 """
 
 from __future__ import annotations
@@ -14,19 +20,20 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Optional
 
 from .compare import (
     DEFAULT_CAP_BITS,
     DEFAULT_EXACT_BUDGET,
     DEFAULT_START_BITS,
     LogCombination,
-    Method,
+    MethodStats,
     Verdict,
+    _ladder,
     cmp_roots,
     ratio_step_verdict,
     evaluate_combination,
-    sign_of_log_combination,
 )
 from .numerics import (
     DyadicInterval,
@@ -74,6 +81,7 @@ class CheckResult:
     status: CheckStatus
     witness: Optional[dict]
     detail: dict
+    stats: MethodStats
 
     def to_json(self) -> dict:
         return {
@@ -88,41 +96,72 @@ def _ivf(iv: DyadicInterval) -> list[float]:
     return [float(iv.lo), float(iv.hi)]
 
 
-def _ladder(start_bits: int, cap_bits: int):
-    bits = start_bits
-    while True:
-        yield bits
-        if bits >= cap_bits:
-            return
-        bits = min(bits * 2, cap_bits)
+@lru_cache(maxsize=256)
+def _ladder_stats(bits: int, escalations: int, undecided: bool) -> MethodStats:
+    # shared, since a range keeps thousands of results alive
+    return MethodStats(interval=1, undecided=int(undecided), max_bits=bits,
+                       escalations=escalations)
+
+
+def _certify(
+    name: str,
+    witness: Optional[dict],
+    judge: Callable[[int], tuple[bool, bool, dict]],
+    start_bits: int,
+    cap_bits: int,
+) -> CheckResult:
+    # judge(bits) -> (certified, refuted, detail); the last rung run decides
+    for escalations, bits in enumerate(_ladder(start_bits, cap_bits)):
+        certified, refuted, detail = judge(bits)
+        if certified or refuted:
+            break
+    status = (CheckStatus.CERTIFIED if certified
+              else CheckStatus.REFUTED if refuted else CheckStatus.UNDECIDED)
+    return CheckResult(
+        name, status, witness, {**detail, "bits": bits, "method": "interval"},
+        _ladder_stats(bits, escalations, status is CheckStatus.UNDECIDED),
+    )
 
 
 def _strict_sign_check(
     name: str,
     witness: Optional[dict],
     margin_at: Callable[[int], DyadicInterval],
-    start_bits: int = DEFAULT_START_BITS,
-    cap_bits: int = DEFAULT_CAP_BITS,
+    start_bits: int,
+    cap_bits: int,
 ) -> CheckResult:
-    # Certified iff the margin is strictly positive; Refuted iff strictly
-    # negative; escalates precision until the enclosure leaves zero.
-    last = None
-    for bits in _ladder(start_bits, cap_bits):
+    # Certified iff the margin is strictly positive; Refuted iff strictly negative.
+    def judge(bits: int) -> tuple[bool, bool, dict]:
         m = margin_at(bits)
-        last = {"margin": _ivf(m), "bits": bits, "method": "interval"}
-        if m.strictly_positive():
-            return CheckResult(name, CheckStatus.CERTIFIED, witness, last)
-        if m.strictly_negative():
-            return CheckResult(name, CheckStatus.REFUTED, witness, last)
-    return CheckResult(name, CheckStatus.UNDECIDED, witness, last or {})
+        return m.strictly_positive(), m.strictly_negative(), {"margin": _ivf(m)}
+
+    return _certify(name, witness, judge, start_bits, cap_bits)
 
 
-def _verdict_detail(v: Verdict) -> dict:
-    return {
-        "method": v.method.value if v.method else None,
-        "bits": v.bits,
-        "escalations": v.escalations,
-    }
+def _verdict_run(
+    name: str,
+    steps: Iterable[tuple[dict, Verdict]],
+    expected: Ordering,
+    region: dict,
+) -> CheckResult:
+    # Certified iff every step's verdict is `expected`; the first step that is
+    # not ends the run and becomes the witness.
+    failed = []
+
+    def verdicts():
+        for witness, v in steps:
+            yield v
+            if v.ordering is not expected:
+                failed.append((witness, v.ordering))
+                return
+
+    stats = MethodStats.of(verdicts())
+    counts = {"exact": stats.exact, "interval": stats.interval, "max_bits": stats.max_bits}
+    if not failed:
+        return CheckResult(name, CheckStatus.CERTIFIED, None, {**counts, **region}, stats)
+    witness, ordering = failed[0]
+    status = CheckStatus.UNDECIDED if ordering is Ordering.UNDECIDED else CheckStatus.REFUTED
+    return CheckResult(name, status, witness, {**counts, "ordering": ordering.value}, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +183,17 @@ def check_log5_positive(start_bits: int = DEFAULT_START_BITS,
 _GAMMA_BAND = (Fraction(-3825, 10000), Fraction(-3815, 10000))
 
 
-def check_fibonacci_gamma_band(start_bits: int = 64,
+def check_fibonacci_gamma_band(start_bits: int = DEFAULT_START_BITS,
                                cap_bits: int = DEFAULT_CAP_BITS) -> CheckResult:
     """The Fibonacci root ratio gamma lies in [-0.3825, -0.3815]."""
     lo_band, hi_band = _GAMMA_BAND
-    last = None
-    for bits in _ladder(start_bits, cap_bits):
+
+    def judge(bits: int) -> tuple[bool, bool, dict]:
         g = lucas_constants(1, -1, bits).gamma
-        last = {"gamma": _ivf(g), "bits": bits, "method": "interval"}
-        if g.lo.as_fraction() >= lo_band and g.hi.as_fraction() <= hi_band:
-            return CheckResult("fibonacci-gamma-band", CheckStatus.CERTIFIED, None, last)
-        if g.hi.as_fraction() < lo_band or g.lo.as_fraction() > hi_band:
-            return CheckResult("fibonacci-gamma-band", CheckStatus.REFUTED, None, last)
-    return CheckResult("fibonacci-gamma-band", CheckStatus.UNDECIDED, None, last or {})
+        lo, hi = g.lo.as_fraction(), g.hi.as_fraction()
+        return lo >= lo_band and hi <= hi_band, hi < lo_band or lo > hi_band, {"gamma": _ivf(g)}
+
+    return _certify("fibonacci-gamma-band", None, judge, start_bits, cap_bits)
 
 
 def check_gamma_sixth_power(start_bits: int = DEFAULT_START_BITS,
@@ -174,18 +211,18 @@ def check_gamma_sixth_power(start_bits: int = DEFAULT_START_BITS,
 def check_fibonacci_early_steps(**opts) -> CheckResult:
     """The Fibonacci ratio steps at n = 4 and n = 5 are both decreasing."""
     fib = Lucas(1, -1)
-    details = {}
-    worst = CheckStatus.CERTIFIED
+    verdicts = []
+    status, witness = CheckStatus.CERTIFIED, None
     for n in (4, 5):
         v = ratio_step_verdict(fib, n, **opts)
-        details[f"n={n}"] = {"ordering": v.ordering.value, **_verdict_detail(v)}
+        verdicts.append(v)
         if v.ordering is Ordering.UNDECIDED:
-            worst = CheckStatus.UNDECIDED
+            status = CheckStatus.UNDECIDED
         elif v.ordering is not Ordering.GREATER:
-            return CheckResult(
-                "fibonacci-steps-4-5", CheckStatus.REFUTED, {"n": n}, details
-            )
-    return CheckResult("fibonacci-steps-4-5", worst, None, details)
+            status, witness = CheckStatus.REFUTED, {"n": n}
+            break
+    details = {f"n={n}": v.to_json() for n, v in zip((4, 5), verdicts)}
+    return CheckResult("fibonacci-steps-4-5", status, witness, details, MethodStats.of(verdicts))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +233,7 @@ def check_lucas_gap_bound(
     a: int,
     b: int,
     n: int,
-    start_bits: int = 256,
+    start_bits: int = DEFAULT_START_BITS,
     cap_bits: int = DEFAULT_CAP_BITS,
     allow_unit_discriminant: bool = False,
 ) -> CheckResult:
@@ -262,7 +299,7 @@ def check_unit_discriminant_tail(
     a: int,
     b: int,
     n: int,
-    start_bits: int = 256,
+    start_bits: int = DEFAULT_START_BITS,
     cap_bits: int = DEFAULT_CAP_BITS,
 ) -> CheckResult:
     """For unit-discriminant recurrences, certifies Delta_n > w_n > 0, where
@@ -287,6 +324,7 @@ def check_unit_discriminant_tail(
             CheckStatus.UNDECIDED,
             witness,
             {"note": f"precondition g^n < 1/2 fails: g^{n} = {gn}", "method": "exact"},
+            MethodStats(exact=1, undecided=1),
         )
     w = Fraction(2, n + 1) * (-(g ** (n + 1)) - g ** (2 * n + 2)) + gn / n + g ** (n + 2) / (n + 2)
     if w <= 0:
@@ -295,6 +333,7 @@ def check_unit_discriminant_tail(
             CheckStatus.REFUTED,
             witness,
             {"note": f"w_n = {w} is not positive", "method": "exact"},
+            MethodStats(exact=1),
         )
     seq = Lucas(a, b)
     u0, u1, u2 = (seq.term(n + i) for i in range(3))
@@ -318,21 +357,10 @@ def check_unit_discriminant_tail(
 def check_derangement_window(**opts) -> CheckResult:
     """Ratio steps of the derangement numbers are decreasing for 3 <= n <= 26."""
     seq = Derangement()
-    stats = {"exact": 0, "interval": 0, "max_bits": 0}
-    for n in range(3, 27):
-        v = ratio_step_verdict(seq, n, **opts)
-        _tally(stats, v)
-        if v.ordering is Ordering.UNDECIDED:
-            return CheckResult(
-                "derangement-window", CheckStatus.UNDECIDED, {"n": n}, stats
-            )
-        if v.ordering is not Ordering.GREATER:
-            return CheckResult(
-                "derangement-window", CheckStatus.REFUTED, {"n": n},
-                {**stats, "ordering": v.ordering.value},
-            )
-    return CheckResult(
-        "derangement-window", CheckStatus.CERTIFIED, None, {**stats, "range": [3, 26]}
+    return _verdict_run(
+        "derangement-window",
+        (({"n": n}, ratio_step_verdict(seq, n, **opts)) for n in range(3, 27)),
+        Ordering.GREATER, {"range": [3, 26]},
     )
 
 
@@ -348,8 +376,8 @@ def check_derangement_offset(
     witness = {"n": n}
     half = Fraction(1, 2)
     thresh_log = Fraction(3, 2)
-    last = None
-    for bits in _ladder(start_bits, cap_bits):
+
+    def judge(bits: int) -> tuple[bool, bool, dict]:
         dist = iv_abs(
             iv_sub_exact(
                 DyadicInterval.point(d),
@@ -362,13 +390,13 @@ def check_derangement_offset(
                 interval_ln(round_outward(f, bits), bits),
             )
         )
-        last = {"abs_dist": _ivf(dist), "abs_log_offset": _ivf(offs),
-                "bits": bits, "method": "interval"}
-        if dist.hi.as_fraction() <= half and offs.hi.as_fraction() <= thresh_log:
-            return CheckResult(name, CheckStatus.CERTIFIED, witness, last)
-        if dist.lo.as_fraction() > half or offs.lo.as_fraction() > thresh_log:
-            return CheckResult(name, CheckStatus.REFUTED, witness, last)
-    return CheckResult(name, CheckStatus.UNDECIDED, witness, last or {})
+        return (
+            dist.hi.as_fraction() <= half and offs.hi.as_fraction() <= thresh_log,
+            dist.lo.as_fraction() > half or offs.lo.as_fraction() > thresh_log,
+            {"abs_dist": _ivf(dist), "abs_log_offset": _ivf(offs)},
+        )
+
+    return _certify(f"derangement-offset(n={n})", {"n": n}, judge, start_bits, cap_bits)
 
 
 def _log_offset(k: int, bits: int) -> DyadicInterval:
@@ -389,10 +417,8 @@ def check_offset_second_difference(
     """
     if n < 3:
         raise ValueError(f"needs n >= 3, got {n}")
-    name = f"offset-second-difference(n={n})"
-    witness = {"n": n}
-    last = None
-    for bits in _ladder(start_bits, cap_bits):
+
+    def judge(bits: int) -> tuple[bool, bool, dict]:
         r1 = iv_add_exact(
             iv_add_exact(
                 iv_scale(_log_offset(n + 1, bits), n * (n - 1)),
@@ -402,14 +428,10 @@ def check_offset_second_difference(
         )
         bound = iv_add_exact(iv_scale(interval_e(bits), 6), DyadicInterval.point(3))
         mag = iv_abs(r1)
-        last = {"abs_value": _ivf(mag), "bound": _ivf(bound),
-                "bits": bits, "method": "interval"}
         # sound directions: our upper endpoint against the bound's lower one
-        if mag.hi <= bound.lo:
-            return CheckResult(name, CheckStatus.CERTIFIED, witness, last)
-        if mag.lo > bound.hi:
-            return CheckResult(name, CheckStatus.REFUTED, witness, last)
-    return CheckResult(name, CheckStatus.UNDECIDED, witness, last or {})
+        return mag.hi <= bound.lo, mag.lo > bound.hi, {"abs_value": _ivf(mag), "bound": _ivf(bound)}
+
+    return _certify(f"offset-second-difference(n={n})", {"n": n}, judge, start_bits, cap_bits)
 
 
 def check_stirling_remainder(
@@ -419,10 +441,8 @@ def check_stirling_remainder(
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
     f = math.factorial(n)
-    name = f"stirling-remainder(n={n})"
-    witness = {"n": n}
-    last = None
-    for bits in _ladder(start_bits, cap_bits):
+
+    def judge(bits: int) -> tuple[bool, bool, dict]:
         ln_n = interval_ln(round_outward(n, bits), bits)
         r2 = iv_abs(
             iv_add_exact(
@@ -433,13 +453,9 @@ def check_stirling_remainder(
             )
         )
         bound = iv_add_exact(ln_n, DyadicInterval.point(1))
-        last = {"abs_value": _ivf(r2), "bound": _ivf(bound),
-                "bits": bits, "method": "interval"}
-        if r2.hi < bound.lo:
-            return CheckResult(name, CheckStatus.CERTIFIED, witness, last)
-        if r2.lo >= bound.hi:
-            return CheckResult(name, CheckStatus.REFUTED, witness, last)
-    return CheckResult(name, CheckStatus.UNDECIDED, witness, last or {})
+        return r2.hi < bound.lo, r2.lo >= bound.hi, {"abs_value": _ivf(r2), "bound": _ivf(bound)}
+
+    return _certify(f"stirling-remainder(n={n})", {"n": n}, judge, start_bits, cap_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -492,24 +508,11 @@ def check_harmonic_xlogx(
 
 def check_harmonic_window(**opts) -> CheckResult:
     """Harmonic ratio steps are increasing for every m in 1..10, n in 3..29."""
-    stats = {"exact": 0, "interval": 0, "max_bits": 0}
-    for m in range(1, 11):
-        seq = Harmonic(m)
-        for n in range(3, 30):
-            v = ratio_step_verdict(seq, n, **opts)
-            _tally(stats, v)
-            if v.ordering is Ordering.UNDECIDED:
-                return CheckResult(
-                    "harmonic-window", CheckStatus.UNDECIDED, {"m": m, "n": n}, stats
-                )
-            if v.ordering is not Ordering.LESS:
-                return CheckResult(
-                    "harmonic-window", CheckStatus.REFUTED, {"m": m, "n": n},
-                    {**stats, "ordering": v.ordering.value},
-                )
-    return CheckResult(
-        "harmonic-window", CheckStatus.CERTIFIED, None,
-        {**stats, "grid": "m=1..10, n=3..29"},
+    return _verdict_run(
+        "harmonic-window",
+        (({"m": m, "n": n}, ratio_step_verdict(Harmonic(m), n, **opts))
+         for m in range(1, 11) for n in range(3, 30)),
+        Ordering.LESS, {"grid": "m=1..10, n=3..29"},
     )
 
 
@@ -523,14 +526,14 @@ def check_firoozbakht(n: int, **opts) -> CheckResult:
         raise ValueError(f"needs n >= 1, got {n}")
     p, p_next = nth_prime(n), nth_prime(n + 1)
     v = cmp_roots(Fraction(p), n, Fraction(p_next), **opts)
-    detail = {"p_n": p, "p_next": p_next, **_verdict_detail(v)}
+    detail = {"p_n": p, "p_next": p_next, **v.to_json()}
     if v.ordering is Ordering.LESS:
         status = CheckStatus.CERTIFIED
     elif v.ordering is Ordering.UNDECIDED:
         status = CheckStatus.UNDECIDED
     else:
         status = CheckStatus.REFUTED
-    return CheckResult(f"firoozbakht(n={n})", status, {"n": n}, detail)
+    return CheckResult(f"firoozbakht(n={n})", status, {"n": n}, detail, MethodStats.of((v,)))
 
 
 def check_prime_ratio_refinement(
@@ -558,33 +561,19 @@ def check_prime_ratio_refinement(
         # certify LHS < RHS by showing RHS - LHS > 0 in log form
         return iv_sub_exact(rhs_log, lhs)
 
-    out = _strict_sign_check(
+    return _strict_sign_check(
         f"prime-ratio-refinement(n={n})", witness, margin, start_bits, cap_bits
     )
-    return out
 
 
 def check_firoozbakht_range(start: int, stop: int, **opts) -> CheckResult:
     """Aggregate Firoozbakht instances for start <= n <= stop."""
     _ensure_prime_count(stop + 1)
-    stats = {"exact": 0, "interval": 0, "max_bits": 0}
-    for n in range(start, stop + 1):
-        p, p_next = nth_prime(n), nth_prime(n + 1)
-        v = cmp_roots(Fraction(p), n, Fraction(p_next), **opts)
-        _tally(stats, v)
-        if v.ordering is not Ordering.LESS:
-            status = (
-                CheckStatus.UNDECIDED
-                if v.ordering is Ordering.UNDECIDED
-                else CheckStatus.REFUTED
-            )
-            return CheckResult(
-                f"firoozbakht-range({start}..{stop})", status,
-                {"n": n}, {**stats, "ordering": v.ordering.value},
-            )
-    return CheckResult(
-        f"firoozbakht-range({start}..{stop})", CheckStatus.CERTIFIED, None,
-        {**stats, "range": [start, stop]},
+    return _verdict_run(
+        f"firoozbakht-range({start}..{stop})",
+        (({"n": n}, cmp_roots(Fraction(nth_prime(n)), n, Fraction(nth_prime(n + 1)), **opts))
+         for n in range(start, stop + 1)),
+        Ordering.LESS, {"range": [start, stop]},
     )
 
 
@@ -596,41 +585,31 @@ def check_prime_ratio_range(
     if start < 3:
         raise ValueError(f"needs start >= 3, got {start}")
     _ensure_prime_count(stop + 1)
-    worst_bits = 0
-    for n in range(start, stop + 1):
-        out = check_prime_ratio_refinement(n, start_bits, cap_bits)
-        worst_bits = max(worst_bits, out.detail.get("bits") or 0)
-        if out.status is not CheckStatus.CERTIFIED:
-            return CheckResult(
-                f"prime-ratio-range({start}..{stop})", out.status, {"n": n}, out.detail
-            )
-    return CheckResult(
-        f"prime-ratio-range({start}..{stop})", CheckStatus.CERTIFIED, None,
-        {"range": [start, stop], "checked": stop - start + 1, "max_bits": worst_bits,
-         "method": "interval"},
+    return _aggregate_range(
+        f"prime-ratio-range({start}..{stop})", check_prime_ratio_refinement,
+        range(start, stop + 1), start_bits, cap_bits, range=[start, stop],
     )
-
-
-def _tally(stats: dict, v: Verdict) -> None:
-    if v.method is Method.EXACT:
-        stats["exact"] += 1
-    elif v.method is Method.INTERVAL:
-        stats["interval"] += 1
-        stats["max_bits"] = max(stats["max_bits"], v.bits or 0)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def constants_suite(**opts) -> list[CheckResult]:
+def constants_suite(
+    *,
+    start_bits: int = DEFAULT_START_BITS,
+    cap_bits: int = DEFAULT_CAP_BITS,
+    exact_budget: int = DEFAULT_EXACT_BUDGET,
+) -> list[CheckResult]:
     """The named constant inequalities, all expected Certified."""
     return [
-        check_log5_positive(),
-        check_fibonacci_gamma_band(),
-        check_gamma_sixth_power(),
-        check_fibonacci_early_steps(**opts),
-        check_harmonic_xlogx(1, 30),
+        check_log5_positive(start_bits, cap_bits),
+        check_fibonacci_gamma_band(start_bits, cap_bits),
+        check_gamma_sixth_power(start_bits, cap_bits),
+        check_fibonacci_early_steps(
+            start_bits=start_bits, cap_bits=cap_bits, exact_budget=exact_budget
+        ),
+        check_harmonic_xlogx(1, 30, start_bits, cap_bits),
     ]
 
 
@@ -643,61 +622,63 @@ def paper_suite(
     cap_bits: int = DEFAULT_CAP_BITS,
     exact_budget: int = DEFAULT_EXACT_BUDGET,
 ) -> list[CheckResult]:
-    """Every named check over its claimed region, sized for an interactive run."""
+    """Every named check over its claimed region, sized for an interactive run.
+
+    start_bits, cap_bits and exact_budget reach every check.
+    """
     opts = {"start_bits": start_bits, "cap_bits": cap_bits, "exact_budget": exact_budget}
-    results = list(constants_suite(**opts))
+    bits = (start_bits, cap_bits)
+    results = constants_suite(**opts)
     results.extend(
-        check_lucas_gap_bound(a, b, n, max(start_bits, 256), cap_bits)
+        check_lucas_gap_bound(a, b, n, *bits)
         for (a, b, n) in ((1, -1, 4), (1, -1, 6), (2, -1, 10))
     )
     results.extend(
-        check_unit_discriminant_tail(a, b, n, max(start_bits, 256), cap_bits)
+        check_unit_discriminant_tail(a, b, n, *bits)
         for (a, b, n) in ((3, 2, 50), (5, 6, 20))
     )
     results.append(check_derangement_window(**opts))
-    results.append(
-        _aggregate_range(
-            "derangement-offset-range",
-            ((n, lambda n=n: check_derangement_offset(n, start_bits, cap_bits))
-             for n in range(2, offset_max + 1)),
-        )
-    )
-    results.append(
-        _aggregate_range(
-            "offset-second-difference-range",
-            ((n, lambda n=n: check_offset_second_difference(n, start_bits, cap_bits))
-             for n in range(3, offset_max + 1)),
-        )
-    )
-    results.append(
-        _aggregate_range(
-            "stirling-remainder-range",
-            ((n, lambda n=n: check_stirling_remainder(n, start_bits, cap_bits))
-             for n in range(2, stirling_max + 1)),
-        )
-    )
+    results.append(_aggregate_range(
+        "derangement-offset-range", check_derangement_offset, range(2, offset_max + 1), *bits
+    ))
+    results.append(_aggregate_range(
+        "offset-second-difference-range", check_offset_second_difference,
+        range(3, offset_max + 1), *bits,
+    ))
+    results.append(_aggregate_range(
+        "stirling-remainder-range", check_stirling_remainder, range(2, stirling_max + 1), *bits
+    ))
     results.extend(
-        check_log_quadratic_bound(x, start_bits, cap_bits)
+        check_log_quadratic_bound(x, *bits)
         for x in (Fraction(1), Fraction(1, 1000), Fraction(10))
     )
     # (m=1, n=30) already appears in the constants suite above
-    results.append(check_harmonic_xlogx(11, 3, start_bits, cap_bits))
+    results.append(check_harmonic_xlogx(11, 3, *bits))
     results.append(check_harmonic_window(**opts))
     results.append(check_firoozbakht_range(1, prime_horizon, **opts))
-    results.append(check_prime_ratio_range(5, prime_horizon, start_bits, cap_bits))
+    results.append(check_prime_ratio_range(5, prime_horizon, *bits))
     return results
 
 
-def _aggregate_range(name: str, items) -> CheckResult:
-    bits = 0
-    count = 0
-    for n, run in items:
-        out = run()
-        count += 1
-        bits = max(bits, out.detail.get("bits") or 0)
+def _aggregate_range(
+    name: str,
+    check: Callable[[int, int, int], CheckResult],
+    ns: Iterable[int],
+    start_bits: int,
+    cap_bits: int,
+    **region,
+) -> CheckResult:
+    # Certified iff check(n) is for every n; the first other result ends the run
+    stats = MethodStats()
+    checked = 0
+    for n in ns:
+        out = check(n, start_bits, cap_bits)
+        checked += 1
+        stats = stats.merged(out.stats)
         if out.status is not CheckStatus.CERTIFIED:
-            return CheckResult(name, out.status, {"n": n}, out.detail)
+            return CheckResult(name, out.status, {"n": n}, out.detail, stats)
     return CheckResult(
         name, CheckStatus.CERTIFIED, None,
-        {"checked": count, "max_bits": bits, "method": "interval"},
+        {**region, "checked": checked, "max_bits": stats.max_bits, "method": "interval"},
+        stats,
     )

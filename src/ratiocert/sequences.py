@@ -361,11 +361,6 @@ class Product(Sequence):
             yield x * y
 
 
-def term(spec: Sequence, n: int) -> Fraction:
-    """Exact n-th term of a sequence object."""
-    return spec.term(n)
-
-
 # ---------------------------------------------------------------------------
 # spectral constants of a recurrence: roots, their ratio, and the slope
 # constant q = -ln(1-|gamma|)/|gamma| used by tail estimates

@@ -171,6 +171,21 @@ class TestJsonSchema:
             assert detail[name]["exact"] == 0 and detail[name]["max_bits"] >= 256
         assert detail["fibonacci-steps-4-5"]["n=4"]["bits"] >= 256
 
+    def test_paper_suite_passes_ladder_flags_to_every_check(self, capsys):
+        small = ["paper-suite", "--prime-horizon", "120", "--offset-max", "12",
+                 "--stirling-max", "12"]
+        for flags, lo, hi in ((["--start-bits", "512", "--precision-cap", "1024"], 512, 1024),
+                              (["--precision-cap", "128"], 128, 128)):
+            code, doc = run_json(capsys, small + flags)
+            assert code == EXIT_OK
+            assert lo <= doc["stats"]["max_bits"] <= hi
+            for r in doc["results"]:
+                bits = r["detail"].get("bits") or r["detail"].get("max_bits")
+                assert not bits or lo <= bits <= hi, (flags, r["name"], bits)
+                if r["name"].startswith(("log5", "fibonacci-gamma", "gamma-sixth",
+                                         "harmonic-xlogx", "lucas-gap", "unit-disc")):
+                    assert r["detail"]["bits"] == lo, (flags, r["name"])
+
     def test_check_stats_count_escalations_and_undecided(self, capsys):
         # lucas(3,2) steps lie about 2^-n from a tie; a 128-bit cap leaves
         # some undecided once the exact route is barred

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from ratiocert.compare import (
     DEFAULT_CAP_BITS,
+    DEFAULT_START_BITS,
     Direction,
     LogCombination,
     LogTerm,
     Method,
+    MethodStats,
     Verdict,
+    _ladder,
     check_monotone,
     cmp_roots,
     combine_reports,
@@ -204,6 +207,14 @@ class TestSignOfLogCombination:
         v = sign_of_log_combination(comb)
         assert v.ordering is brute_sign(comb)
 
+    def test_ladder_doubles_up_to_the_cap(self):
+        assert _ladder(128, 1000) == (128, 256, 512, 1000)
+        assert _ladder(128, 128) == (128,)
+        with pytest.raises(ValueError):
+            _ladder(8, 128)
+        with pytest.raises(ValueError):
+            _ladder(256, 128)
+
     def test_result_serialization(self):
         v = sign_of_log_combination(
             LogCombination.from_pairs([(1, Fraction(3, 2))])
@@ -344,6 +355,24 @@ class TestCheckMonotone:
     def test_stats_add_up(self):
         rep = check_monotone(fibonacci(), 1, 40, Direction.DECREASING)
         assert rep.stats.exact + rep.stats.interval + rep.stats.undecided == 38
+
+    @pytest.mark.parametrize("cap", [128, 1024])
+    def test_stats_tally_the_step_verdicts(self, cap):
+        # lucas(3,2) steps lie about 2^-n from a tie: with the exact route
+        # barred, a 128-bit cap leaves some undecided and 1024 bits escalates
+        opts = {"cap_bits": cap, "exact_budget": 0}
+        seq = Lucas(3, 2)
+        rep = check_monotone(seq, 100, 140, Direction.DECREASING, **opts)
+        verdicts = [ratio_step_verdict(seq, n, **opts) for n in range(100, 139)]
+        assert rep.stats == MethodStats.of(verdicts)
+        # an undecided interval verdict counts as interval and as undecided
+        assert rep.stats.interval == 39
+        assert rep.stats.undecided == len(rep.undecided)
+        assert (rep.stats.undecided > 0) == (cap == 128)
+        for v in verdicts:
+            assert v.method is Method.INTERVAL
+            assert v.bits == DEFAULT_START_BITS << v.escalations
+        assert (rep.stats.escalations > 0) == (cap > 128)
 
     def test_min_valid_start_consistency(self):
         rep = check_monotone(fibonacci(), 1, 60, Direction.DECREASING)

@@ -52,6 +52,12 @@ class TestConstantsSuite:
     def test_h30_entry(self):
         assert check_harmonic_xlogx(1, 30).status is CheckStatus.CERTIFIED
 
+    def test_cap_below_start_is_rejected(self):
+        with pytest.raises(ValueError):
+            check_log5_positive(start_bits=256, cap_bits=128)
+        with pytest.raises(ValueError):
+            check_derangement_offset(10, start_bits=256, cap_bits=128)
+
     def test_suite_is_all_certified(self):
         results = constants_suite()
         assert len(results) == 5

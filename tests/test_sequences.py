@@ -31,7 +31,6 @@ from ratiocert.sequences import (
     lucas_term,
     nth_prime,
     squarefree_sum,
-    term,
 )
 
 
@@ -224,10 +223,10 @@ class TestSquarefree:
 
 class TestProductAndDispatch:
     def test_spec_examples(self):
-        assert term(Derangement(), 2) == 1
+        assert Derangement().term(2) == 1
         fib = fibonacci()
-        assert term(Product(fib, fib), 5) == 25
-        assert term(Harmonic(1), 2) == Fraction(3, 2)
+        assert Product(fib, fib).term(5) == 25
+        assert Harmonic(1).term(2) == Fraction(3, 2)
 
     def test_product_domain_is_max_of_children(self):
         p = Product(fibonacci(), Derangement())
@@ -245,7 +244,7 @@ class TestProductAndDispatch:
         for seq in (fibonacci(), Lucas(3, 2), Derangement(), Harmonic(1),
                     Harmonic(10), Primes(), SquarefreeSum()):
             for n in range(seq.domain_start, seq.domain_start + 30):
-                assert term(seq, n) > 0
+                assert seq.term(n) > 0
 
     def test_streaming_product(self):
         p = Product(fibonacci(), Primes())
