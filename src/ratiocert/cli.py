@@ -390,10 +390,9 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
     refuted = [c.name for c in checks if c.status is CheckStatus.REFUTED]
     undecided = [c.name for c in checks if c.status is CheckStatus.UNDECIDED]
     total = reduce(MethodStats.merged, (c.stats for c in checks), MethodStats())
-    stats = {"exact": total.exact, "interval": total.interval, "max_bits": total.max_bits}
     doc = _doc(
         "paper-suite", cfg, [c.to_json() for c in checks], refuted, undecided,
-        stats, wall_ms,
+        total.to_json(), wall_ms,
     )
     lines = []
     for c in checks:
@@ -435,8 +434,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     if min(indices) < seq.domain_start:
         raise UsageError(f"indices must be >= {seq.domain_start} for {seq.name}")
     cfg = _config(args, "table", seq=seq.name, indices=indices, bits=args.bits)
-    if args.bits < 16:
-        raise UsageError("--bits must be >= 16")
     t0 = time.perf_counter()
     rows = ratio_table(seq, indices, args.bits)
     wall_ms = int((time.perf_counter() - t0) * 1000)
@@ -451,8 +448,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         }
         for n, enc in rows
     ]
-    doc = _doc("table", cfg, results, [], [], {"exact": 0, "interval": len(rows),
-                                               "max_bits": args.bits}, wall_ms)
+    stats = MethodStats(interval=len(rows), max_bits=args.bits)
+    doc = _doc("table", cfg, results, [], [], stats.to_json(), wall_ms)
     lines = [f"ln r_n enclosures for {seq.name} at {args.bits} bits"]
     lines += [
         f"n={n:<8d} ln_r in [{float(enc.lo):+.12e}, {float(enc.hi):+.12e}]"
@@ -468,9 +465,20 @@ def cmd_table(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, *, jobs: bool = True) -> None:
+def _at_least(least: int):
+    # an int flag whose smaller values are usage errors (exit 64)
+    def integer(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
+        return int(text)
+    return integer
+
+
+def _add_common(p: argparse.ArgumentParser, *, engine: bool = True, jobs: bool = True) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", default=None, help="write the report to a file")
+    if not engine:
+        return
     p.add_argument("--precision-cap", type=int, default=None,
                    help=f"interval ladder cap in bits (default {DEFAULT_CAP_BITS}, "
                         f"env {ENV_MAX_BITS})")
@@ -518,9 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.set_defaults(func=cmd_find_start)
 
     p_suite = sub.add_parser("paper-suite", help="run every named finite check")
-    p_suite.add_argument("--prime-horizon", type=int, default=2000)
-    p_suite.add_argument("--offset-max", type=int, default=60)
-    p_suite.add_argument("--stirling-max", type=int, default=100)
+    # the smallest sizes at which every range check holds an instance
+    p_suite.add_argument("--prime-horizon", type=_at_least(5), default=2000)
+    p_suite.add_argument("--offset-max", type=_at_least(3), default=60)
+    p_suite.add_argument("--stirling-max", type=_at_least(2), default=100)
     _add_common(p_suite, jobs=False)
     p_suite.set_defaults(func=cmd_paper_suite)
 
@@ -529,9 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--indices", default=None, help="comma-separated indices")
     p_table.add_argument("--from", dest="start", type=int, default=None)
     p_table.add_argument("--to", dest="stop", type=int, default=None)
-    p_table.add_argument("--step", type=int, default=1)
-    p_table.add_argument("--bits", type=int, default=DEFAULT_START_BITS)
-    _add_common(p_table, jobs=False)
+    p_table.add_argument("--step", type=_at_least(1), default=1)
+    p_table.add_argument("--bits", type=_at_least(16), default=DEFAULT_START_BITS)
+    _add_common(p_table, engine=False)
     p_table.set_defaults(func=cmd_table)
 
     return parser

@@ -24,6 +24,9 @@ Root-ratio monotonicity reduces to such signs: with r_n =
 a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
 2n(n+2)*ln a_{n+1} - (n+1)(n+2)*ln a_n - n(n+1)*ln a_{n+2} > 0 after
 clearing the positive denominator n(n+1)(n+2).
+
+evaluate_combination also encloses (S + r) / d, r rational and d a positive
+integer, on the same integers; the named checks and the ln r_n table use it.
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ from .numerics import (
     Ordering,
     _check_bits,
     _fixed_interval,
+    _fixed_rational,
     _ln_exact,
-    interval_ln,
-    iv_div_scalar,
-    iv_sub_exact,
-    round_outward,
+    interval_ln,  # noqa: F401 -- unused here; perfbench's tracer test reads it
 )
 from .sequences import Product, Sequence
 
@@ -179,13 +180,9 @@ def _rung_s(terms: int, bits: int) -> float:
     return terms * (_RUNG_TERM_S + _RUNG_BIT_S * bits**_RUNG_POWER)
 
 
-def evaluate_combination(comb: LogCombination, bits: int) -> DyadicInterval:
-    """Enclosure of sum c_i ln(x_i) at the given working precision.
-
-    The exact numerator and denominator of each base go straight into the ln
-    kernel, and the sum is taken on plain integers at the kernel's one scale.
-    """
-    _check_bits(bits)
+def _combination_fixed(comb: LogCombination, bits: int, offset=0, divisor: int = 1
+                       ) -> tuple[int, int]:
+    # (sum c_i ln(x_i) + offset) / divisor as [lo, hi] * 2**-w, w = bits + 8
     lo = hi = 0
     for t in comb.terms:
         c = t.coefficient
@@ -196,7 +193,30 @@ def evaluate_combination(comb: LogCombination, bits: int) -> DyadicInterval:
         else:
             lo += c * t_hi
             hi += c * t_lo
-    return _fixed_interval(lo, hi, bits)
+    if offset:
+        r_lo, r_hi = _fixed_rational(offset, bits)
+        lo += r_lo
+        hi += r_hi
+    if divisor != 1:
+        lo //= divisor
+        hi = -(-hi // divisor)
+    return lo, hi
+
+
+def evaluate_combination(comb: LogCombination, bits: int, offset=0, divisor: int = 1
+                         ) -> DyadicInterval:
+    """Enclosure of (sum c_i ln(x_i) + offset) / divisor at the given precision,
+    for an exact rational offset and a positive integer divisor.
+
+    Each base's exact numerator and denominator go into the ln kernel; the
+    sum, the outward-rounded offset and the floored/ceiled division are plain
+    integers at the kernel's one scale 2**-(bits+8), so enclosures still nest
+    as the precision rises.  Scans pass neither, and then build no Fraction.
+    """
+    _check_bits(bits)
+    if divisor < 1:
+        raise ValueError(f"divisor must be a positive integer, got {divisor!r}")
+    return _fixed_interval(*_combination_fixed(comb, bits, offset, divisor), bits)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -472,13 +492,11 @@ def min_start_from_report(report: MonotonicityReport) -> Optional[int]:
 def ratio_table(
     spec: Sequence, indices: Seq[int], bits: int = DEFAULT_START_BITS
 ) -> list[tuple[int, DyadicInterval]]:
-    """Enclosures of ln r_n = ln(a_{n+1})/(n+1) - ln(a_n)/n at given indices."""
+    """Enclosures of ln r_n = (n ln a_{n+1} - (n+1) ln a_n) / (n(n+1)) at given indices."""
     _check_bits(bits)
     rows = []
     for n in indices:
         spec._validate_index(n)
-        ln_lo = interval_ln(round_outward(spec.term(n), bits), bits)
-        ln_hi = interval_ln(round_outward(spec.term(n + 1), bits), bits)
-        enc = iv_sub_exact(iv_div_scalar(ln_hi, n + 1, bits), iv_div_scalar(ln_lo, n, bits))
-        rows.append((n, enc))
+        comb = LogCombination.from_pairs([(n, spec.term(n + 1)), (-(n + 1), spec.term(n))])
+        rows.append((n, evaluate_combination(comb, bits, divisor=n * (n + 1))))
     return rows

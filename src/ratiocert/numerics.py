@@ -342,15 +342,6 @@ def iv_div(a: DyadicInterval, b: DyadicInterval, bits: int) -> DyadicInterval:
     return DyadicInterval(_round_frac_down(min(cands), bits), _round_frac_up(max(cands), bits))
 
 
-def iv_div_scalar(a: DyadicInterval, d: int, bits: int) -> DyadicInterval:
-    """Divide by a positive integer, rounding outward."""
-    _check_bits(bits)
-    if d <= 0:
-        raise ValueError("scalar divisor must be positive")
-    return DyadicInterval(_round_frac_down(a.lo.as_fraction() / d, bits),
-                          _round_frac_up(a.hi.as_fraction() / d, bits))
-
-
 def iv_pow_nonneg(a: DyadicInterval, k: int, bits: int) -> DyadicInterval:
     """a**k for a nonnegative interval and k >= 0, rounding outward."""
     _check_bits(bits)
@@ -482,6 +473,18 @@ def _ln_exact(x, bits: int) -> tuple[int, int]:
         lo -= d_hi
         hi -= d_lo
     return lo, hi
+
+
+def _ln_scaled(lo: int, hi: int, bits: int) -> tuple[int, int]:
+    # enclosure of ln([lo, hi] * 2**-w) at the same scale, for 0 < lo <= hi
+    w = bits + _KERNEL_EXTRA_BITS
+    return _ln_fixed(lo, -w, bits)[0], _ln_fixed(hi, -w, bits)[1]
+
+
+def _fixed_rational(x, bits: int) -> tuple[int, int]:
+    # floor and ceiling of x * 2**w for an int or Fraction x
+    num = x.numerator << (bits + _KERNEL_EXTRA_BITS)
+    return num // x.denominator, _ceil_div(num, x.denominator)
 
 
 def _fixed_interval(lo: int, hi: int, bits: int) -> DyadicInterval:

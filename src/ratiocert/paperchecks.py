@@ -1,10 +1,18 @@
 """Named finite verifications, each returning a machine-checkable certificate.
 
-Every check evaluates a concrete inequality instance with certified interval
+Every check evaluates a concrete inequality instance with certified
 enclosures or exact rational arithmetic, and reports Certified / Refuted /
 Undecided together with the enclosures that justify the answer.  A strict
 inequality is certified only when the margin enclosure excludes zero on the
 right side; a non-strict one when the boundary value is cleared exactly.
+
+Margins of the form (sum c_i ln x_i + r) / d, x_i and r rational, go through
+compare.evaluate_combination on plain integers at the ln kernel's one scale:
+ln 5 - 1, ln(1+x) - x + x^2/2, ln H - rhs/H, the unit-discriminant tail, the
+Stirling remainder and bound, the derangement log offsets, and ln disc.  The
+prime-ratio refinement adds ln ln n and ln(1 - u) on those integers.  Terms
+with irrational constants (gamma, the gap bound's g-terms, n!/e, 6e + 3) stay
+on DyadicInterval arithmetic.
 
 Interval checks climb the same precision ladder as the ratio-step verdicts
 (start_bits, doubling up to cap_bits; a cap below the start is a ValueError)
@@ -30,25 +38,28 @@ from .compare import (
     LogCombination,
     MethodStats,
     Verdict,
+    _combination_fixed,
     _ladder,
     cmp_roots,
-    ratio_step_verdict,
     evaluate_combination,
+    ratio_step_combination,
+    ratio_step_verdict,
 )
 from .numerics import (
     DyadicInterval,
     NonPositiveArgument,
     Ordering,
+    _fixed_interval,
+    _fixed_rational,
+    _ln_fixed,
+    _ln_scaled,
     interval_e,
-    interval_ln,
     iv_abs,
     iv_add_exact,
     iv_div,
-    iv_div_scalar,
     iv_mul,
     iv_pow_nonneg,
     iv_scale,
-    iv_sub,
     iv_sub_exact,
     round_outward,
 )
@@ -103,13 +114,9 @@ def _ladder_stats(bits: int, escalations: int, undecided: bool) -> MethodStats:
                        escalations=escalations)
 
 
-def _certify(
-    name: str,
-    witness: Optional[dict],
-    judge: Callable[[int], tuple[bool, bool, dict]],
-    start_bits: int,
-    cap_bits: int,
-) -> CheckResult:
+def _certify(name: str, witness: Optional[dict],
+             judge: Callable[[int], tuple[bool, bool, dict]],
+             start_bits: int, cap_bits: int) -> CheckResult:
     # judge(bits) -> (certified, refuted, detail); the last rung run decides
     for escalations, bits in enumerate(_ladder(start_bits, cap_bits)):
         certified, refuted, detail = judge(bits)
@@ -123,13 +130,9 @@ def _certify(
     )
 
 
-def _strict_sign_check(
-    name: str,
-    witness: Optional[dict],
-    margin_at: Callable[[int], DyadicInterval],
-    start_bits: int,
-    cap_bits: int,
-) -> CheckResult:
+def _strict_sign_check(name: str, witness: Optional[dict],
+                       margin_at: Callable[[int], DyadicInterval],
+                       start_bits: int, cap_bits: int) -> CheckResult:
     # Certified iff the margin is strictly positive; Refuted iff strictly negative.
     def judge(bits: int) -> tuple[bool, bool, dict]:
         m = margin_at(bits)
@@ -171,13 +174,11 @@ def _verdict_run(
 def check_log5_positive(start_bits: int = DEFAULT_START_BITS,
                         cap_bits: int = DEFAULT_CAP_BITS) -> CheckResult:
     """ln 5 - 1 > 0."""
-
-    def margin(bits: int) -> DyadicInterval:
-        return iv_sub_exact(
-            interval_ln(round_outward(5, bits), bits), DyadicInterval.point(1)
-        )
-
-    return _strict_sign_check("log5-minus-one-positive", None, margin, start_bits, cap_bits)
+    comb = LogCombination.from_pairs([(1, 5)])
+    return _strict_sign_check(
+        "log5-minus-one-positive", None,
+        lambda bits: evaluate_combination(comb, bits, -1), start_bits, cap_bits,
+    )
 
 
 _GAMMA_BAND = (Fraction(-3825, 10000), Fraction(-3815, 10000))
@@ -254,15 +255,8 @@ def check_lucas_gap_bound(
         )
     if n < 1:
         raise InvalidParameters(f"index must be >= 1, got {n}")
-    seq = Lucas(a, b)
-    u0, u1, u2 = (seq.term(n + i) for i in range(3))
-    comb = LogCombination.from_pairs(
-        [
-            (2 * n * (n + 2), u1),
-            (-(n + 1) * (n + 2), u0),
-            (-n * (n + 1), u2),
-        ]
-    )
+    comb = ratio_step_combination(Lucas(a, b), n)
+    ln_disc = LogCombination.from_pairs([(1, disc)])  # ln 1 is the exact point 0
 
     sides = {}
 
@@ -271,18 +265,12 @@ def check_lucas_gap_bound(
         g = cs.gamma_abs
         lhs = evaluate_combination(comb, bits)
         inner = iv_add_exact(
-            iv_add_exact(
-                iv_scale(iv_mul(cs.q, g, bits), 2 * n * (n + 2)),
-                DyadicInterval.point((n + 1) * (n + 2)),
-            ),
+            iv_add_exact(iv_scale(iv_mul(cs.q, g, bits), 2 * n * (n + 2)),
+                         DyadicInterval.point((n + 1) * (n + 2))),
             iv_scale(iv_pow_nonneg(g, 2, bits), n * (n + 1)),
         )
-        ln_disc = (
-            interval_ln(round_outward(disc, bits), bits)
-            if disc > 1
-            else DyadicInterval.point(0)
-        )
-        rhs = iv_sub_exact(ln_disc, iv_mul(iv_pow_nonneg(g, n, bits), inner, bits))
+        rhs = iv_sub_exact(evaluate_combination(ln_disc, bits),
+                           iv_mul(iv_pow_nonneg(g, n, bits), inner, bits))
         sides["lhs"] = _ivf(lhs)
         sides["rhs"] = _ivf(rhs)
         return iv_sub_exact(lhs, rhs)
@@ -319,33 +307,21 @@ def check_unit_discriminant_tail(
     witness = {"a": a, "b": b, "n": n}
     gn = g**n
     if not gn < Fraction(1, 2):
-        return CheckResult(
-            name,
-            CheckStatus.UNDECIDED,
-            witness,
-            {"note": f"precondition g^n < 1/2 fails: g^{n} = {gn}", "method": "exact"},
-            MethodStats(exact=1, undecided=1),
-        )
+        note = f"precondition g^n < 1/2 fails: g^{n} = {gn}"
+        return CheckResult(name, CheckStatus.UNDECIDED, witness,
+                           {"note": note, "method": "exact"}, MethodStats(exact=1, undecided=1))
     w = Fraction(2, n + 1) * (-(g ** (n + 1)) - g ** (2 * n + 2)) + gn / n + g ** (n + 2) / (n + 2)
     if w <= 0:
-        return CheckResult(
-            name,
-            CheckStatus.REFUTED,
-            witness,
-            {"note": f"w_n = {w} is not positive", "method": "exact"},
-            MethodStats(exact=1),
-        )
-    seq = Lucas(a, b)
-    u0, u1, u2 = (seq.term(n + i) for i in range(3))
-
-    def margin(bits: int) -> DyadicInterval:
-        d0 = iv_div_scalar(iv_scale(interval_ln(round_outward(u1, bits), bits), 2), n + 1, bits)
-        d1 = iv_div_scalar(interval_ln(round_outward(u0, bits), bits), n, bits)
-        d2 = iv_div_scalar(interval_ln(round_outward(u2, bits), bits), n + 2, bits)
-        delta = iv_sub_exact(iv_sub_exact(d0, d1), d2)
-        return iv_sub_exact(delta, round_outward(w, bits))
-
-    out = _strict_sign_check(name, witness, margin, start_bits, cap_bits)
+        return CheckResult(name, CheckStatus.REFUTED, witness,
+                           {"note": f"w_n = {w} is not positive", "method": "exact"},
+                           MethodStats(exact=1))
+    # Delta_n - w_n = (ratio-step combination - d w_n) / d with d = n(n+1)(n+2)
+    comb = ratio_step_combination(Lucas(a, b), n)
+    d = n * (n + 1) * (n + 2)
+    out = _strict_sign_check(
+        name, witness, lambda bits: evaluate_combination(comb, bits, -d * w, d),
+        start_bits, cap_bits,
+    )
     out.detail["w_n"] = [float(w), float(w)]
     return out
 
@@ -372,24 +348,14 @@ def check_derangement_offset(
         raise ValueError(f"needs n >= 2, got {n}")
     d = derangement_term(n)
     f = math.factorial(n)
-    name = f"derangement-offset(n={n})"
-    witness = {"n": n}
     half = Fraction(1, 2)
     thresh_log = Fraction(3, 2)
+    log_offset = LogCombination.from_pairs([(1, d), (-1, f)])
 
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        dist = iv_abs(
-            iv_sub_exact(
-                DyadicInterval.point(d),
-                iv_div(round_outward(f, bits), interval_e(bits), bits),
-            )
-        )
-        offs = iv_abs(
-            iv_sub_exact(
-                interval_ln(round_outward(d, bits), bits),
-                interval_ln(round_outward(f, bits), bits),
-            )
-        )
+        f_over_e = iv_div(round_outward(f, bits), interval_e(bits), bits)
+        dist = iv_abs(iv_sub_exact(DyadicInterval.point(d), f_over_e))
+        offs = iv_abs(evaluate_combination(log_offset, bits))
         return (
             dist.hi.as_fraction() <= half and offs.hi.as_fraction() <= thresh_log,
             dist.lo.as_fraction() > half or offs.lo.as_fraction() > thresh_log,
@@ -397,14 +363,6 @@ def check_derangement_offset(
         )
 
     return _certify(f"derangement-offset(n={n})", {"n": n}, judge, start_bits, cap_bits)
-
-
-def _log_offset(k: int, bits: int) -> DyadicInterval:
-    # ln D_k - ln k!, both arguments exact integers
-    return iv_sub_exact(
-        interval_ln(round_outward(derangement_term(k), bits), bits),
-        interval_ln(round_outward(math.factorial(k), bits), bits),
-    )
 
 
 def check_offset_second_difference(
@@ -417,17 +375,16 @@ def check_offset_second_difference(
     """
     if n < 3:
         raise ValueError(f"needs n >= 3, got {n}")
+    # off(k) = ln D_k - ln k!, so each weight goes on two terms
+    comb = LogCombination.from_pairs(
+        (s * c, x(k))
+        for c, k in ((n * (n - 1), n + 1), (-2 * (n - 1) * (n + 1), n), (n * (n + 1), n - 1))
+        for s, x in ((1, derangement_term), (-1, math.factorial))
+    )
 
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        r1 = iv_add_exact(
-            iv_add_exact(
-                iv_scale(_log_offset(n + 1, bits), n * (n - 1)),
-                iv_scale(_log_offset(n, bits), -2 * (n - 1) * (n + 1)),
-            ),
-            iv_scale(_log_offset(n - 1, bits), n * (n + 1)),
-        )
         bound = iv_add_exact(iv_scale(interval_e(bits), 6), DyadicInterval.point(3))
-        mag = iv_abs(r1)
+        mag = iv_abs(evaluate_combination(comb, bits))
         # sound directions: our upper endpoint against the bound's lower one
         return mag.hi <= bound.lo, mag.lo > bound.hi, {"abs_value": _ivf(mag), "bound": _ivf(bound)}
 
@@ -440,19 +397,12 @@ def check_stirling_remainder(
     """|ln n! - n ln n + n| < ln n + 1."""
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
-    f = math.factorial(n)
+    remainder = LogCombination.from_pairs([(1, math.factorial(n)), (-n, n)])
+    ln_n = LogCombination.from_pairs([(1, n)])
 
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        ln_n = interval_ln(round_outward(n, bits), bits)
-        r2 = iv_abs(
-            iv_add_exact(
-                iv_sub_exact(
-                    interval_ln(round_outward(f, bits), bits), iv_scale(ln_n, n)
-                ),
-                DyadicInterval.point(n),
-            )
-        )
-        bound = iv_add_exact(ln_n, DyadicInterval.point(1))
+        r2 = iv_abs(evaluate_combination(remainder, bits, n))
+        bound = evaluate_combination(ln_n, bits, 1)
         return r2.hi < bound.lo, r2.lo >= bound.hi, {"abs_value": _ivf(r2), "bound": _ivf(bound)}
 
     return _certify(f"stirling-remainder(n={n})", {"n": n}, judge, start_bits, cap_bits)
@@ -469,15 +419,10 @@ def check_log_quadratic_bound(
     xf = Fraction(x)
     if xf <= 0:
         raise NonPositiveArgument(f"needs x > 0, got {xf}")
-    poly = xf - xf * xf / 2
-
-    def margin(bits: int) -> DyadicInterval:
-        return iv_sub_exact(
-            interval_ln(round_outward(1 + xf, bits), bits), round_outward(poly, bits)
-        )
-
+    comb = LogCombination.from_pairs([(1, 1 + xf)])
     return _strict_sign_check(
-        f"log-quadratic-lower(x={xf})", {"x": str(xf)}, margin, start_bits, cap_bits
+        f"log-quadratic-lower(x={xf})", {"x": str(xf)},
+        lambda bits: evaluate_combination(comb, bits, xf * xf / 2 - xf), start_bits, cap_bits,
     )
 
 
@@ -486,23 +431,20 @@ def check_harmonic_xlogx(
 ) -> CheckResult:
     """H log H > 4*(2/(n+2))**(m-1) for H the order-m harmonic number at n.
 
-    Refuted is a legitimate outcome outside the hypothesis region
-    (m >= 11 or n >= 30); inside it a Refuted result would be a defect.
+    Since H > 0 this is decided, and its margin reported, as
+    ln H - 4*(2/(n+2))**(m-1) / H > 0.  Refuted is a legitimate outcome
+    outside the hypothesis region (m >= 11 or n >= 30); inside it a Refuted
+    result would be a defect.
     """
     if m < 1 or n < 3:
         raise ValueError(f"needs m >= 1 and n >= 3, got m={m}, n={n}")
     h = harmonic_term(m, n)
     rhs = 4 * Fraction(2, n + 2) ** (m - 1)
-
-    def margin(bits: int) -> DyadicInterval:
-        enc = round_outward(h, bits)
-        lhs = iv_mul(enc, interval_ln(enc, bits), bits)
-        return iv_sub_exact(lhs, round_outward(rhs, bits))
-
+    comb = LogCombination.from_pairs([(1, h)])
     return _strict_sign_check(
         f"harmonic-xlogx(m={m},n={n})",
         {"m": m, "n": n, "in_hypothesis": m >= 11 or n >= 30},
-        margin, start_bits, cap_bits,
+        lambda bits: evaluate_combination(comb, bits, -rhs / h), start_bits, cap_bits,
     )
 
 
@@ -527,12 +469,9 @@ def check_firoozbakht(n: int, **opts) -> CheckResult:
     p, p_next = nth_prime(n), nth_prime(n + 1)
     v = cmp_roots(Fraction(p), n, Fraction(p_next), **opts)
     detail = {"p_n": p, "p_next": p_next, **v.to_json()}
-    if v.ordering is Ordering.LESS:
-        status = CheckStatus.CERTIFIED
-    elif v.ordering is Ordering.UNDECIDED:
-        status = CheckStatus.UNDECIDED
-    else:
-        status = CheckStatus.REFUTED
+    status = (CheckStatus.CERTIFIED if v.ordering is Ordering.LESS
+              else CheckStatus.UNDECIDED if v.ordering is Ordering.UNDECIDED
+              else CheckStatus.REFUTED)
     return CheckResult(f"firoozbakht(n={n})", status, {"n": n}, detail, MethodStats.of((v,)))
 
 
@@ -548,18 +487,17 @@ def check_prime_ratio_refinement(
         raise ValueError(f"needs n >= 3 so that ln ln n > 0, got {n}")
     p, p_next = nth_prime(n), nth_prime(n + 1)
     witness = {"n": n, "informational": n <= 4}
+    lhs = LogCombination.from_pairs([(n, p_next), (-(n + 1), p)])
+    k = 2 * n * n
 
     def margin(bits: int) -> DyadicInterval:
-        lhs = iv_sub_exact(
-            iv_div_scalar(interval_ln(p_next, bits), n + 1, bits),
-            iv_div_scalar(interval_ln(p, bits), n, bits),
-        )
-        ln_n = interval_ln(n, bits)
-        u = iv_div_scalar(interval_ln(ln_n, bits), 2 * n * n, bits)
-        arg = iv_sub(DyadicInterval.point(1), u, bits)
-        rhs_log = interval_ln(arg, bits)
-        # certify LHS < RHS by showing RHS - LHS > 0 in log form
-        return iv_sub_exact(rhs_log, lhs)
+        # certify LHS < RHS by showing ln(1 - u) - ln LHS > 0, u = ln ln n / (2n^2),
+        # on integer endpoints at the ln kernel's one scale
+        one = _fixed_rational(1, bits)[0]
+        ll_lo, ll_hi = _ln_scaled(*_ln_fixed(n, 0, bits), bits)
+        r_lo, r_hi = _ln_scaled(one + (-ll_hi // k), one - ll_lo // k, bits)
+        s_lo, s_hi = _combination_fixed(lhs, bits, 0, n * (n + 1))
+        return _fixed_interval(r_lo - s_hi, r_hi - s_lo, bits)
 
     return _strict_sign_check(
         f"prime-ratio-refinement(n={n})", witness, margin, start_bits, cap_bits

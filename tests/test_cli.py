@@ -19,6 +19,7 @@ SCHEMA_KEYS = {
     "schema_version", "command", "config", "results",
     "violations", "undecided", "stats", "wall_ms",
 }
+STATS_KEYS = {"exact", "interval", "undecided", "max_bits", "escalations"}
 
 
 def run_json(capsys, argv):
@@ -75,6 +76,13 @@ class TestExitCodes:
             ["check", "--seq", "fibonacci", "--from", "4", "--to", "50"],
             ["table", "--seq", "fibonacci"],
             ["table", "--seq", "fibonacci", "--indices", "x,y"],
+            ["table", "--seq", "fibonacci", "--indices", "10", "--start-bits", "512"],
+            ["table", "--seq", "fibonacci", "--indices", "10", "--precision-cap", "1024"],
+            ["table", "--seq", "fibonacci", "--indices", "10", "--exact-budget", "0"],
+            ["table", "--seq", "fibonacci", "--from", "10", "--to", "14", "--step", "0"],
+            ["paper-suite", "--prime-horizon", "4"],
+            ["paper-suite", "--offset-max", "2"],
+            ["paper-suite", "--stirling-max", "1"],
             ["nosuchcommand"],
             [],
         ]
@@ -130,7 +138,7 @@ class TestJsonSchema:
         assert doc["command"] == "check"
         assert doc["violations"] == [1, 3]
         assert doc["undecided"] == []
-        assert set(doc["stats"]) == {"exact", "interval", "undecided", "max_bits", "escalations"}
+        assert set(doc["stats"]) == STATS_KEYS
         assert isinstance(doc["wall_ms"], int)
         assert doc["results"][0]["min_valid_start"] == 4
 
@@ -154,8 +162,14 @@ class TestJsonSchema:
         assert code == EXIT_OK
         assert set(doc) == SCHEMA_KEYS
         assert all(r["status"] == "certified" for r in doc["results"])
+        assert set(doc["stats"]) == STATS_KEYS
         # firoozbakht-range(1..120) alone holds 120 verdicts
         assert doc["stats"]["exact"] + doc["stats"]["interval"] >= 120
+        # the default derangement-offset-range climbs past its first rung
+        code, doc = run_json(capsys, ["paper-suite"])
+        assert code == EXIT_OK
+        assert set(doc["stats"]) == STATS_KEYS
+        assert doc["stats"]["escalations"] > 0
 
     def test_paper_suite_honours_engine_flags(self, capsys):
         code, doc = run_json(
@@ -215,6 +229,8 @@ class TestJsonSchema:
         assert code == EXIT_OK
         rows = doc["results"]
         assert [r["n"] for r in rows] == [10, 100]
+        assert doc["stats"] == {"exact": 0, "interval": 2, "undecided": 0,
+                                "max_bits": 128, "escalations": 0}
         for row in rows:
             assert row["ln_r_lo"] <= row["ln_r_hi"]
 

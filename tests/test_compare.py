@@ -528,9 +528,13 @@ def log_combinations(draw):
 
 
 class TestEvaluateCombination:
-    @given(log_combinations())
+    @given(
+        log_combinations(),
+        st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**64)),
+        st.integers(1, 10**6),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_contains_oracle_and_nests(self, comb):
+    def test_contains_oracle_and_nests(self, comb, offset, divisor):
         import mpmath
 
         with mpmath.workprec(2048 + 256):
@@ -538,12 +542,13 @@ class TestEvaluateCombination:
                 t.coefficient * (mpmath.log(t.base.numerator) - mpmath.log(t.base.denominator))
                 for t in comb.terms
             )
+            truth = (truth + mpmath.mpf(offset.numerator) / offset.denominator) / divisor
         man, exp = truth.man_exp
         truth_frac = int(mpmath.sign(truth)) * Fraction(man) * Fraction(2) ** exp
         pad = Fraction(1, 2**2100)
         outer = None
         for bits in (128, 256, 512, 1024, 2048):
-            enc = evaluate_combination(comb, bits)
+            enc = evaluate_combination(comb, bits, offset, divisor)
             assert enc.lo.as_fraction() <= truth_frac + pad
             assert truth_frac - pad <= enc.hi.as_fraction()
             if outer is not None:

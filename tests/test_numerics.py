@@ -27,7 +27,6 @@ from ratiocert.numerics import (
     iv_abs,
     iv_add_exact,
     iv_div,
-    iv_div_scalar,
     iv_mul,
     iv_neg,
     iv_pow_nonneg,
@@ -199,14 +198,6 @@ class TestIntervalArith:
         assert sc.lo.as_fraction() == -3 and sc.hi.as_fraction() == -1
         sh = iv_shift(a, 3)
         assert sh.lo.as_fraction() == 2 and sh.hi.as_fraction() == 6
-
-    def test_div_scalar(self):
-        a = DyadicInterval(Dyadic(1, 0), Dyadic(2, 0))
-        q = iv_div_scalar(a, 3, 64)
-        assert q.lo.as_fraction() <= Fraction(1, 3)
-        assert Fraction(2, 3) <= q.hi.as_fraction()
-        with pytest.raises(ValueError):
-            iv_div_scalar(a, 0, 64)
 
     def test_div_by_zero_interval(self):
         a = DyadicInterval.point(1)

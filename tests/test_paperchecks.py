@@ -29,7 +29,7 @@ from ratiocert.paperchecks import (
     paper_suite,
 )
 from ratiocert.numerics import NonPositiveArgument
-from ratiocert.sequences import InvalidParameters
+from ratiocert.sequences import InvalidParameters, harmonic_term, nth_prime
 
 
 class TestConstantsSuite:
@@ -233,3 +233,55 @@ class TestSuite:
             doc = r.to_json()
             json.dumps(doc)
             assert doc["name"] and doc["status"] == "certified"
+
+
+def _unit_tail_margin(mp, n):
+    # Delta_n - w_n for lucas(3, 2), u_k = 2^k - 1, g = 1/2
+    ln_u = [mp.log(2**k - 1) for k in (n, n + 1, n + 2)]
+    g = mp.mpf(1) / 2
+    delta = 2 * ln_u[1] / (n + 1) - ln_u[0] / n - ln_u[2] / (n + 2)
+    w = 2 * (-(g ** (n + 1)) - g ** (2 * n + 2)) / (n + 1) + g**n / n + g ** (n + 2) / (n + 2)
+    return delta - w
+
+
+def _refinement_margin(mp, n):
+    p, p_next = nth_prime(n), nth_prime(n + 1)
+    lhs = mp.log(p_next) / (n + 1) - mp.log(p) / n
+    return mp.log(1 - mp.log(mp.log(n)) / (2 * n * n)) - lhs
+
+
+def _harmonic_margin(mp, m, n):
+    h = harmonic_term(m, n)
+    h = mp.mpf(h.numerator) / h.denominator
+    return mp.log(h) - 4 * (mp.mpf(2) / (n + 2)) ** (m - 1) / h
+
+
+MARGIN_CASES = [
+    pytest.param(check_log5_positive, (), lambda mp: mp.log(5) - 1, id="log5"),
+    pytest.param(check_log_quadratic_bound, (Fraction(1, 1000),),
+                 lambda mp: mp.log(1 + mp.mpf(1) / 1000) - mp.mpf(1) / 1000
+                 + mp.mpf(1) / 2000000, id="log-quadratic"),
+    pytest.param(check_harmonic_xlogx, (11, 3), lambda mp: _harmonic_margin(mp, 11, 3),
+                 id="harmonic-xlogx"),
+    pytest.param(check_unit_discriminant_tail, (3, 2, 50),
+                 lambda mp: _unit_tail_margin(mp, 50), id="unit-discriminant-tail"),
+    *(pytest.param(check_prime_ratio_refinement, (n,),
+                   lambda mp, n=n: _refinement_margin(mp, n), id=f"refinement-{n}")
+      for n in (3, 4, 5, 5000)),
+]
+
+
+class TestMarginsAgainstMpmath:
+    @pytest.mark.parametrize("start_bits", [128, 512])
+    @pytest.mark.parametrize("check, args, oracle", MARGIN_CASES)
+    def test_margin_contains_oracle(self, check, args, oracle, start_bits):
+        import mpmath
+
+        with mpmath.workprec(1024):
+            truth = oracle(mpmath.mp)
+        out = check(*args, start_bits=start_bits)
+        assert out.detail["bits"] == start_bits
+        lo, hi = out.detail["margin"]
+        slack = 4 * 2.0**-53 * max(abs(lo), abs(hi))
+        assert lo - slack <= truth <= hi + slack, (out.name, lo, hi, truth)
+        assert out.status is (CheckStatus.CERTIFIED if truth > 0 else CheckStatus.REFUTED)
