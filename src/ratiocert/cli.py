@@ -173,7 +173,10 @@ class RunConfig:
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
-    if getattr(args, "precision_cap", None) is not None:
+    # table has no ladder: neither the flag nor the environment reaches it
+    if not hasattr(args, "precision_cap"):
+        return DEFAULT_CAP_BITS
+    if args.precision_cap is not None:
         return args.precision_cap
     env = os.environ.get(ENV_MAX_BITS)
     if env is not None:
@@ -270,6 +273,11 @@ def _direction(args: argparse.Namespace) -> Direction:
     return Direction(args.direction)
 
 
+def _stats_line(stats: MethodStats) -> str:
+    # the JSON `stats` keys, in the same order
+    return "stats: " + " ".join(f"{k}={v}" for k, v in stats.to_json().items())
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     seq = build_sequence(args)
     cfg = _config(
@@ -306,8 +314,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"violations: {list(report.violations)}",
         f"undecided: {list(report.undecided)}",
         f"min_valid_start: {report.min_valid_start}",
-        f"stats: exact={report.stats.exact} interval={report.stats.interval} "
-        f"max_bits={report.stats.max_bits}",
+        _stats_line(report.stats),
         f"wall_ms: {wall_ms}",
         f"result: {'CERTIFIED' if certified else 'NOT CERTIFIED'}",
     ]
@@ -359,6 +366,7 @@ def cmd_find_start(args: argparse.Namespace) -> int:
         headline,
         f"violations: {list(report.violations)}",
         f"undecided: {list(report.undecided)}",
+        _stats_line(report.stats),
         f"wall_ms: {wall_ms}",
     ]
     csv_rows = [["sequence", "horizon", "min_start"],

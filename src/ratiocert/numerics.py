@@ -1,11 +1,12 @@
-"""Exact dyadic interval arithmetic with outward rounding.
+"""Certified ln and e on fixed-point integers, and the dyadic certificate type.
 
-Every approximate quantity in this package is carried as a closed interval
-[lo, hi] whose endpoints are dyadic rationals m * 2**e held as plain Python
-integers.  All operations round the lower endpoint toward -inf and the upper
-endpoint toward +inf, so the true real value is contained in the result
-whenever it was contained in the inputs.  Comparisons against rationals are
-exact integer comparisons; no binary float ever participates in a decision.
+Every approximate quantity is a plain integer pair (lo, hi) meaning
+[lo, hi] * 2**-w, at one scale w = bits + 8 per precision.  Every operation
+floors the lower endpoint and ceils the upper one, so the true real value
+stays inside, and an enclosure at a precision contains the enclosure at any
+higher one.  A pair is wrapped once, by _fixed_interval, in a DyadicInterval:
+closed dyadic endpoints m * 2**e compared as exact integers.  No binary float
+ever participates in a decision.
 
 The two transcendental building blocks, ln and e, come with explicit
 remainder bounds:
@@ -16,17 +17,15 @@ remainder bounds:
   ln 2 itself is 2*atanh(1/3), cached per working precision.
 * e is the unit-factorial series with tail bound 2/(K+1)!.
 
-Both kernels run in fixed-point integer arithmetic (scale 2**-W with W a few
-words above the requested precision) and every division or shift is floored
-or ceiled in the direction that keeps the enclosure valid.
-
-The ln kernel returns a plain integer pair (lo, hi) meaning [lo, hi] * 2**-w,
-one scale w = bits + 8 per precision.  An exact integer goes into it as it
-is, with no rounding first, and a rational as its numerator and denominator,
-so a sum of integer multiples of logs is taken on plain integers at that one
-scale and wrapped in a DyadicInterval once.  The kernel's cache is bounded
-to a scan's working set (64 entries), so memory does not grow with the
-length of a scan or the size of its terms.
+The ln kernel works a guard word below the scale and rounds onto it at the
+end.  An exact integer goes into it as it is, with no rounding first, and a
+rational as its numerator and denominator, so a sum of integer multiples of
+logs is a sum of pairs.  The kernel's cache is bounded to a scan's working
+set (64 entries), so memory does not grow with the length of a scan or the
+size of its terms.  Constants that are not sums of logs (a recurrence's root
+ratio, n!/e) use three more pair operations at the same scale: the product,
+power and quotient of nonnegative pairs.  The one exception is the public
+interval_e, which keeps its published scale 2**-(bits+3).
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class Ordering(Enum):
 
 class NonPositiveArgument(ValueError):
     """Raised when ln is asked for an interval not strictly positive."""
-
-
-class DivisionByIntervalContainingZero(ZeroDivisionError):
-    """Raised when an interval divisor contains zero."""
 
 
 def _check_bits(bits: int) -> None:
@@ -115,8 +110,8 @@ class Dyadic:
             return math.inf if m > 0 else -math.inf
 
     def _cmp(self, other: "Dyadic") -> int:
-        d = _sub(self, other).mantissa
-        return (d > 0) - (d < 0)
+        a, b, _ = _aligned(self, other)
+        return (a > b) - (a < b)
 
     def __lt__(self, other: "Dyadic") -> bool:
         return self._cmp(other) < 0
@@ -130,41 +125,14 @@ class Dyadic:
     def __ge__(self, other: "Dyadic") -> bool:
         return self._cmp(other) >= 0
 
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.mantissa, self.exponent)
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        return _add(self, other)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return _sub(self, other)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.mantissa), self.exponent)
-
     def __str__(self) -> str:
         return f"{self.mantissa}*2^{self.exponent}"
 
 
-def _add(a: Dyadic, b: Dyadic) -> Dyadic:
-    # exact: align to the smaller exponent
-    if a.mantissa == 0:
-        return b
-    if b.mantissa == 0:
-        return a
+def _aligned(a: Dyadic, b: Dyadic) -> tuple[int, int, int]:
+    # both mantissas at the smaller exponent e, exactly
     e = min(a.exponent, b.exponent)
-    return Dyadic((a.mantissa << (a.exponent - e)) + (b.mantissa << (b.exponent - e)), e)
-
-
-def _sub(a: Dyadic, b: Dyadic) -> Dyadic:
-    return _add(a, -b)
-
-
-_D_ZERO = Dyadic(0, 0)
-_D_ONE = Dyadic(1, 0)
+    return a.mantissa << (a.exponent - e), b.mantissa << (b.exponent - e), e
 
 
 @dataclass(frozen=True)
@@ -188,7 +156,8 @@ class DyadicInterval:
         raise TypeError(f"cannot make an exact point from {type(x).__name__}")
 
     def width(self) -> Dyadic:
-        return _sub(self.hi, self.lo)
+        hi, lo, e = _aligned(self.hi, self.lo)
+        return Dyadic(hi - lo, e)
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -217,167 +186,6 @@ class DyadicInterval:
 
     def __str__(self) -> str:
         return f"[{float(self.lo)!r}, {float(self.hi)!r}]"
-
-
-_IV_ZERO = DyadicInterval(_D_ZERO, _D_ZERO)
-
-
-def _floor_log2(num: int, den: int) -> int:
-    # num, den > 0; returns k with 2**k <= num/den < 2**(k+1)
-    k = num.bit_length() - den.bit_length()
-    if k >= 0:
-        if num < den << k:
-            k -= 1
-    else:
-        if num << -k < den:
-            k -= 1
-    return k
-
-
-def _round_frac_down(x: Fraction, bits: int) -> Dyadic:
-    num, den = x.numerator, x.denominator
-    if num == 0:
-        return _D_ZERO
-    e = _floor_log2(abs(num), den) - bits + 1
-    if e >= 0:
-        return Dyadic(num // (den << e), e)
-    return Dyadic((num << -e) // den, e)
-
-
-def _round_frac_up(x: Fraction, bits: int) -> Dyadic:
-    num, den = x.numerator, x.denominator
-    if num == 0:
-        return _D_ZERO
-    e = _floor_log2(abs(num), den) - bits + 1
-    if e >= 0:
-        return Dyadic(_ceil_div(num, den << e), e)
-    return Dyadic(_ceil_div(num << -e, den), e)
-
-
-def _round_dyadic_down(d: Dyadic, bits: int) -> Dyadic:
-    m = d.mantissa
-    if m == 0:
-        return d
-    s = abs(m).bit_length() - bits
-    if s <= 0:
-        return d
-    return Dyadic(m >> s, d.exponent + s)
-
-
-def _round_dyadic_up(d: Dyadic, bits: int) -> Dyadic:
-    m = d.mantissa
-    if m == 0:
-        return d
-    s = abs(m).bit_length() - bits
-    if s <= 0:
-        return d
-    return Dyadic(_shr_ceil(m, s), d.exponent + s)
-
-
-def round_outward(x, bits: int) -> DyadicInterval:
-    """Smallest interval with bits-bit endpoints containing the rational x."""
-    _check_bits(bits)
-    xf = Fraction(x)
-    if xf == 0:
-        return _IV_ZERO
-    return DyadicInterval(_round_frac_down(xf, bits), _round_frac_up(xf, bits))
-
-
-def iv_round(a: DyadicInterval, bits: int) -> DyadicInterval:
-    """Round an interval's endpoints outward to bits-bit mantissas."""
-    return DyadicInterval(_round_dyadic_down(a.lo, bits), _round_dyadic_up(a.hi, bits))
-
-
-def iv_add_exact(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
-    return DyadicInterval(_add(a.lo, b.lo), _add(a.hi, b.hi))
-
-
-def iv_sub_exact(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
-    return DyadicInterval(_sub(a.lo, b.hi), _sub(a.hi, b.lo))
-
-
-def iv_neg(a: DyadicInterval) -> DyadicInterval:
-    return DyadicInterval(-a.hi, -a.lo)
-
-
-def iv_abs(a: DyadicInterval) -> DyadicInterval:
-    if a.lo.mantissa >= 0:
-        return a
-    if a.hi.mantissa <= 0:
-        return iv_neg(a)
-    return DyadicInterval(_D_ZERO, max(-a.lo, a.hi))
-
-
-def iv_scale(a: DyadicInterval, c: int) -> DyadicInterval:
-    """Exact multiplication by an integer scalar."""
-    lo = Dyadic(a.lo.mantissa * c, a.lo.exponent)
-    hi = Dyadic(a.hi.mantissa * c, a.hi.exponent)
-    return DyadicInterval(lo, hi) if c >= 0 else DyadicInterval(hi, lo)
-
-
-def iv_shift(a: DyadicInterval, k: int) -> DyadicInterval:
-    """Exact multiplication by 2**k."""
-    return DyadicInterval(Dyadic(a.lo.mantissa, a.lo.exponent + k),
-                          Dyadic(a.hi.mantissa, a.hi.exponent + k))
-
-
-def iv_sub(a: DyadicInterval, b: DyadicInterval, bits: int) -> DyadicInterval:
-    _check_bits(bits)
-    return iv_round(iv_sub_exact(a, b), bits)
-
-
-def iv_mul(a: DyadicInterval, b: DyadicInterval, bits: int) -> DyadicInterval:
-    _check_bits(bits)
-    cands = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
-    return DyadicInterval(_round_dyadic_down(min(cands), bits),
-                          _round_dyadic_up(max(cands), bits))
-
-
-def iv_div(a: DyadicInterval, b: DyadicInterval, bits: int) -> DyadicInterval:
-    _check_bits(bits)
-    if b.contains_zero():
-        raise DivisionByIntervalContainingZero(f"divisor {b} contains zero")
-    bf = (b.lo.as_fraction(), b.hi.as_fraction())
-    cands = [x.as_fraction() / y for x in (a.lo, a.hi) for y in bf]
-    return DyadicInterval(_round_frac_down(min(cands), bits), _round_frac_up(max(cands), bits))
-
-
-def iv_pow_nonneg(a: DyadicInterval, k: int, bits: int) -> DyadicInterval:
-    """a**k for a nonnegative interval and k >= 0, rounding outward."""
-    _check_bits(bits)
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    if a.lo.mantissa < 0:
-        raise ValueError("base interval must be nonnegative")
-    if k == 0:
-        return DyadicInterval(_D_ONE, _D_ONE)
-    work = bits + 8
-
-    def powdir(base: Dyadic, up: bool) -> Dyadic:
-        rnd = _round_dyadic_up if up else _round_dyadic_down
-        acc = _D_ONE
-        b = base
-        kk = k
-        while kk:
-            if kk & 1:
-                acc = rnd(acc * b, work)
-            kk >>= 1
-            if kk:
-                b = rnd(b * b, work)
-        return acc
-
-    return DyadicInterval(_round_dyadic_down(powdir(a.lo, False), bits),
-                          _round_dyadic_up(powdir(a.hi, True), bits))
-
-
-def cmp_exact(a, b) -> Ordering:
-    """Trichotomous comparison of exact rationals (ints or Fractions)."""
-    af, bf = Fraction(a), Fraction(b)
-    if af < bf:
-        return Ordering.LESS
-    if af > bf:
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +301,30 @@ def _fixed_interval(lo: int, hi: int, bits: int) -> DyadicInterval:
     return DyadicInterval(Dyadic(lo, -w), Dyadic(hi, -w))
 
 
+def _mul_fixed(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
+    # product of two nonnegative pairs at the one scale, floored and ceiled
+    w = bits + _KERNEL_EXTRA_BITS
+    return (a[0] * b[0]) >> w, _shr_ceil(a[1] * b[1], w)
+
+
+def _pow_fixed(a: tuple[int, int], k: int, bits: int) -> tuple[int, int]:
+    # a**k for a nonnegative pair and k >= 0, each squaring floored and ceiled
+    acc = _fixed_rational(1, bits)
+    while k:
+        if k & 1:
+            acc = _mul_fixed(acc, a, bits)
+        k >>= 1
+        if k:
+            a = _mul_fixed(a, a, bits)
+    return acc
+
+
+def _div_fixed(a: tuple[int, int], b: tuple[int, int], bits: int) -> tuple[int, int]:
+    # a / b for a nonnegative pair a and a pair b with b[0] > 0
+    w = bits + _KERNEL_EXTRA_BITS
+    return (a[0] << w) // b[1], _ceil_div(a[1] << w, b[0])
+
+
 def interval_ln(x, bits: int) -> DyadicInterval:
     """Enclosure of ln(x) for x an exact positive rational, dyadic, or interval.
 
@@ -522,29 +354,31 @@ def interval_ln(x, bits: int) -> DyadicInterval:
     raise TypeError(f"unsupported ln argument type {type(x).__name__}")
 
 
-_E_CACHE: dict[int, DyadicInterval] = {}
-
-
-def interval_e(bits: int) -> DyadicInterval:
-    """Enclosure of Euler's number e at the requested precision."""
-    _check_bits(bits)
-    got = _E_CACHE.get(bits)
-    if got is not None:
-        return got
-    # smallest K with tail 2/(K+1)! < 2**-(bits+2)
+@lru_cache(maxsize=64)
+def _e_fixed(bits: int, extra: int = _KERNEL_EXTRA_BITS) -> tuple[int, int]:
+    # enclosure [lo, hi] * 2**-w of e, w = bits + extra: the sum of 1/i! for
+    # i <= k and its tail bound 2/(k+1)!, with k the first index where
+    # (k+1)! >= 2**w
+    w = bits + extra
     k = 1
     fact_next = 2  # (k+1)!
-    while fact_next.bit_length() <= bits + 3:
+    while fact_next.bit_length() <= w:
         k += 1
         fact_next *= k + 1
     # sum_{i<=k} 1/i! = total / k! via S_j = 1 + j * S_{j-1}, S_0 = 1
     total = 1
     for i in range(1, k + 1):
         total = total * i + 1
-    fact_k = math.factorial(k)
-    q = bits + 3
-    lo = Dyadic(((total << q) // fact_k) - 1, -q)
-    hi = Dyadic(_ceil_div(((total * (k + 1)) + 2) << q, fact_k * (k + 1)) + 1, -q)
-    got = DyadicInterval(lo, hi)
-    _E_CACHE[bits] = got
-    return got
+    lo = (total << w) // (fact_next // (k + 1))
+    return lo, _ceil_div((total * (k + 1) + 2) << w, fact_next)
+
+
+def interval_e(bits: int) -> DyadicInterval:
+    """Enclosure of Euler's number e at the requested precision.
+
+    The series at scale 2**-(bits+3), widened by one ulp on each side; the
+    checks take the same series at the kernel's scale 2**-(bits+8).
+    """
+    _check_bits(bits)
+    lo, hi = _e_fixed(bits, 3)
+    return DyadicInterval(Dyadic(lo - 1, -bits - 3), Dyadic(hi + 1, -bits - 3))

@@ -6,13 +6,15 @@ Undecided together with the enclosures that justify the answer.  A strict
 inequality is certified only when the margin enclosure excludes zero on the
 right side; a non-strict one when the boundary value is cleared exactly.
 
-Margins of the form (sum c_i ln x_i + r) / d, x_i and r rational, go through
-compare.evaluate_combination on plain integers at the ln kernel's one scale:
-ln 5 - 1, ln(1+x) - x + x^2/2, ln H - rhs/H, the unit-discriminant tail, the
-Stirling remainder and bound, the derangement log offsets, and ln disc.  The
-prime-ratio refinement adds ln ln n and ln(1 - u) on those integers.  Terms
-with irrational constants (gamma, the gap bound's g-terms, n!/e, 6e + 3) stay
-on DyadicInterval arithmetic.
+Every enclosure is an integer pair [lo, hi] * 2**-(bits+8) at the ln
+kernel's one scale.  Margins of the form (sum c_i ln x_i + r) / d, x_i and r
+rational, come from compare's log-combination engine: ln 5 - 1,
+ln(1+x) - x + x^2/2, ln H - rhs/H, the unit-discriminant tail, the Stirling
+remainder and bound, the derangement log offsets, and ln disc.  The
+prime-ratio refinement adds ln ln n and ln(1 - u), and the terms with
+irrational constants (gamma and the gap bound's g-terms, n!/e, 6e + 3) are
+pair products, powers and quotients.  A check decides on the integers and
+wraps each reported enclosure in a DyadicInterval once.
 
 Interval checks climb the same precision ladder as the ratio-step verdicts
 (start_bits, doubling up to cap_bits; a cap below the start is a ValueError)
@@ -49,19 +51,14 @@ from .numerics import (
     DyadicInterval,
     NonPositiveArgument,
     Ordering,
+    _div_fixed,
+    _e_fixed,
     _fixed_interval,
     _fixed_rational,
     _ln_fixed,
     _ln_scaled,
-    interval_e,
-    iv_abs,
-    iv_add_exact,
-    iv_div,
-    iv_mul,
-    iv_pow_nonneg,
-    iv_scale,
-    iv_sub_exact,
-    round_outward,
+    _mul_fixed,
+    _pow_fixed,
 )
 from .sequences import (
     Derangement,
@@ -73,6 +70,7 @@ from .sequences import (
     lucas_constants,
     nth_prime,
     _ensure_prime_count,
+    _lucas_fixed,
 )
 
 
@@ -105,6 +103,15 @@ class CheckResult:
 
 def _ivf(iv: DyadicInterval) -> list[float]:
     return [float(iv.lo), float(iv.hi)]
+
+
+def _abs_fixed(lo: int, hi: int) -> tuple[int, int]:
+    # |[lo, hi]| as an integer pair at the same scale
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
 
 
 @lru_cache(maxsize=256)
@@ -202,9 +209,10 @@ def check_gamma_sixth_power(start_bits: int = DEFAULT_START_BITS,
     """|gamma|^6 * 7 * 8 < 1/3 for the Fibonacci recurrence."""
 
     def margin(bits: int) -> DyadicInterval:
-        g = lucas_constants(1, -1, bits).gamma_abs
-        v = iv_scale(iv_pow_nonneg(g, 6, bits), 56)
-        return iv_sub_exact(round_outward(Fraction(1, 3), bits), v)
+        eff, *_, g, _q = _lucas_fixed(1, -1, bits)
+        third_lo, third_hi = _fixed_rational(Fraction(1, 3), eff)
+        p_lo, p_hi = _pow_fixed(g, 6, eff)
+        return _fixed_interval(third_lo - 56 * p_hi, third_hi - 56 * p_lo, eff)
 
     return _strict_sign_check("gamma-sixth-power-bound", None, margin, start_bits, cap_bits)
 
@@ -261,19 +269,17 @@ def check_lucas_gap_bound(
     sides = {}
 
     def margin(bits: int) -> DyadicInterval:
-        cs = lucas_constants(a, b, bits)
-        g = cs.gamma_abs
-        lhs = evaluate_combination(comb, bits)
-        inner = iv_add_exact(
-            iv_add_exact(iv_scale(iv_mul(cs.q, g, bits), 2 * n * (n + 2)),
-                         DyadicInterval.point((n + 1) * (n + 2))),
-            iv_scale(iv_pow_nonneg(g, 2, bits), n * (n + 1)),
-        )
-        rhs = iv_sub_exact(evaluate_combination(ln_disc, bits),
-                           iv_mul(iv_pow_nonneg(g, n, bits), inner, bits))
-        sides["lhs"] = _ivf(lhs)
-        sides["rhs"] = _ivf(rhs)
-        return iv_sub_exact(lhs, rhs)
+        eff, *_, g, q = _lucas_fixed(a, b, bits)
+        lhs = _combination_fixed(comb, eff)
+        qg, g2 = _mul_fixed(q, g, eff), _pow_fixed(g, 2, eff)
+        c = (n + 1) * (n + 2) * _fixed_rational(1, eff)[0]
+        inner = tuple(2 * n * (n + 2) * x + c + n * (n + 1) * y for x, y in zip(qg, g2))
+        t_lo, t_hi = _mul_fixed(_pow_fixed(g, n, eff), inner, eff)
+        d_lo, d_hi = _combination_fixed(ln_disc, eff)
+        rhs = (d_lo - t_hi, d_hi - t_lo)
+        sides["lhs"] = _ivf(_fixed_interval(*lhs, eff))
+        sides["rhs"] = _ivf(_fixed_interval(*rhs, eff))
+        return _fixed_interval(lhs[0] - rhs[1], lhs[1] - rhs[0], eff)
 
     out = _strict_sign_check(
         f"lucas-gap-bound({a},{b},n={n})", {"a": a, "b": b, "n": n},
@@ -348,18 +354,19 @@ def check_derangement_offset(
         raise ValueError(f"needs n >= 2, got {n}")
     d = derangement_term(n)
     f = math.factorial(n)
-    half = Fraction(1, 2)
-    thresh_log = Fraction(3, 2)
     log_offset = LogCombination.from_pairs([(1, d), (-1, f)])
 
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        f_over_e = iv_div(round_outward(f, bits), interval_e(bits), bits)
-        dist = iv_abs(iv_sub_exact(DyadicInterval.point(d), f_over_e))
-        offs = iv_abs(evaluate_combination(log_offset, bits))
+        one = _fixed_rational(1, bits)[0]
+        fe_lo, fe_hi = _div_fixed((f * one, f * one), _e_fixed(bits), bits)
+        dist = _abs_fixed(d * one - fe_hi, d * one - fe_lo)
+        offs = _abs_fixed(*_combination_fixed(log_offset, bits))
+        half, thresh_log = one >> 1, 3 * one >> 1
         return (
-            dist.hi.as_fraction() <= half and offs.hi.as_fraction() <= thresh_log,
-            dist.lo.as_fraction() > half or offs.lo.as_fraction() > thresh_log,
-            {"abs_dist": _ivf(dist), "abs_log_offset": _ivf(offs)},
+            dist[1] <= half and offs[1] <= thresh_log,
+            dist[0] > half or offs[0] > thresh_log,
+            {"abs_dist": _ivf(_fixed_interval(*dist, bits)),
+             "abs_log_offset": _ivf(_fixed_interval(*offs, bits))},
         )
 
     return _certify(f"derangement-offset(n={n})", {"n": n}, judge, start_bits, cap_bits)
@@ -383,10 +390,13 @@ def check_offset_second_difference(
     )
 
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        bound = iv_add_exact(iv_scale(interval_e(bits), 6), DyadicInterval.point(3))
-        mag = iv_abs(evaluate_combination(comb, bits))
+        three = 3 * _fixed_rational(1, bits)[0]
+        bound = tuple(6 * x + three for x in _e_fixed(bits))
+        mag = _abs_fixed(*_combination_fixed(comb, bits))
         # sound directions: our upper endpoint against the bound's lower one
-        return mag.hi <= bound.lo, mag.lo > bound.hi, {"abs_value": _ivf(mag), "bound": _ivf(bound)}
+        return mag[1] <= bound[0], mag[0] > bound[1], {
+            "abs_value": _ivf(_fixed_interval(*mag, bits)),
+            "bound": _ivf(_fixed_interval(*bound, bits))}
 
     return _certify(f"offset-second-difference(n={n})", {"n": n}, judge, start_bits, cap_bits)
 
@@ -401,9 +411,11 @@ def check_stirling_remainder(
     ln_n = LogCombination.from_pairs([(1, n)])
 
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        r2 = iv_abs(evaluate_combination(remainder, bits, n))
-        bound = evaluate_combination(ln_n, bits, 1)
-        return r2.hi < bound.lo, r2.lo >= bound.hi, {"abs_value": _ivf(r2), "bound": _ivf(bound)}
+        r2 = _abs_fixed(*_combination_fixed(remainder, bits, n))
+        bound = _combination_fixed(ln_n, bits, 1)
+        return r2[1] < bound[0], r2[0] >= bound[1], {
+            "abs_value": _ivf(_fixed_interval(*r2, bits)),
+            "bound": _ivf(_fixed_interval(*bound, bits))}
 
     return _certify(f"stirling-remainder(n={n})", {"n": n}, judge, start_bits, cap_bits)
 

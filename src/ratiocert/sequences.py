@@ -15,17 +15,14 @@ from fractions import Fraction
 from typing import Iterator
 
 from .numerics import (
-    Dyadic,
     DyadicInterval,
+    _ceil_div,
     _check_bits,
-    interval_ln,
-    iv_abs,
-    iv_add_exact,
-    iv_div,
-    iv_neg,
-    iv_shift,
-    iv_sub,
-    iv_sub_exact,
+    _div_fixed,
+    _fixed_interval,
+    _fixed_rational,
+    _ln_scaled,
+    _mul_fixed,
 )
 
 
@@ -380,32 +377,34 @@ class LucasConstants:
     bits: int
 
 
+def _lucas_fixed(a: int, b: int, bits: int) -> tuple:
+    # (eff, sqrt_disc, alpha, beta, gamma, gamma_abs, q), each an integer pair
+    # at the scale of eff, the first precision max(bits, 64) * 2**j at which
+    # 0 < |gamma| < 1 is certified
+    disc = a * a - 4 * b
+    eff = max(bits, 64)
+    while True:
+        one = _fixed_rational(1, eff)[0]
+        s_lo = math.isqrt(disc * one * one)
+        s_hi = s_lo + (s_lo * s_lo != disc * one * one)
+        pa = a * one
+        alpha = ((pa + s_lo) >> 1, (pa + s_hi + 1) >> 1)
+        beta = ((pa - s_hi) >> 1, (pa - s_lo + 1) >> 1)
+        # alpha * beta = b, so gamma = beta / alpha = (a - sqrt(disc))**2 / (4b)
+        t = (max(pa - s_hi, 0), pa - s_lo) if b > 0 else (max(s_lo - pa, 0), s_hi - pa)
+        sq_lo, sq_hi = _mul_fixed(t, t, eff)
+        gamma_abs = (sq_lo // (4 * abs(b)), _ceil_div(sq_hi, 4 * abs(b)))
+        gamma = gamma_abs if b > 0 else (-gamma_abs[1], -gamma_abs[0])
+        if 0 < gamma_abs[0] and gamma_abs[1] < one:
+            l_lo, l_hi = _ln_scaled(one - gamma_abs[1], one - gamma_abs[0], eff)
+            q = _div_fixed((max(-l_hi, 0), -l_lo), gamma_abs, eff)
+            return eff, (s_lo, s_hi), alpha, beta, gamma, gamma_abs, q
+        eff *= 2
+
+
 def lucas_constants(a: int, b: int, bits: int) -> LucasConstants:
     """Certified enclosures of the recurrence's root data at >= bits precision."""
     _validate_lucas(a, b)
     _check_bits(bits)
-    disc = a * a - 4 * b
-    eff = max(bits, 64)
-    while True:
-        s = math.isqrt(disc)
-        if s * s == disc:
-            sd = Dyadic(s, 0)
-            sqrt_disc = DyadicInterval(sd, sd)
-        else:
-            q0 = eff + 4
-            r = math.isqrt(disc << (2 * q0))
-            sqrt_disc = DyadicInterval(Dyadic(r, -q0), Dyadic(r + 1, -q0))
-        pa = DyadicInterval.point(a)
-        alpha = iv_shift(iv_add_exact(pa, sqrt_disc), -1)
-        beta = iv_shift(iv_sub_exact(pa, sqrt_disc), -1)
-        gamma = iv_div(beta, alpha, eff)
-        gamma_abs = iv_abs(gamma)
-        one = DyadicInterval.point(1)
-        if gamma_abs.lo.mantissa > 0 and gamma_abs.hi < Dyadic(1, 0):
-            ln_arg = iv_sub(one, gamma_abs, eff)
-            if ln_arg.lo.mantissa > 0:
-                q = iv_div(iv_neg(interval_ln(ln_arg, eff)), gamma_abs, eff)
-                return LucasConstants(
-                    a, b, disc, sqrt_disc, alpha, beta, gamma, gamma_abs, q, eff
-                )
-        eff *= 2
+    eff, *pairs = _lucas_fixed(a, b, bits)
+    return LucasConstants(a, b, a * a - 4 * b, *(_fixed_interval(*p, eff) for p in pairs), eff)

@@ -300,6 +300,22 @@ class TestOutputFormats:
         assert f"min_valid_start: {doc['results'][0]['min_valid_start']}" in text
 
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--from", "1", "--to", "300"],
+        ["find-start", "--horizon", "300"],
+    ])
+    def test_text_prints_every_stats_key(self, capsys, command):
+        argv = [command[0], "--seq", "lucas:3,2", *command[1:], "--direction", "decreasing"]
+        main(argv)
+        text = capsys.readouterr().out
+        _, doc = run_json(capsys, argv)
+        stats = doc["stats"]
+        assert stats["escalations"] > 0
+        assert (f"stats: exact={stats['exact']} interval={stats['interval']} "
+                f"undecided={stats['undecided']} max_bits={stats['max_bits']} "
+                f"escalations={stats['escalations']}") in text.splitlines()
+
+
 class TestEnvironmentVariable:
     def test_env_cap_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("RATIOCERT_MAX_BITS", "256")
@@ -326,6 +342,20 @@ class TestEnvironmentVariable:
         monkeypatch.setenv("RATIOCERT_MAX_BITS", "64")
         assert main(["check", "--seq", "fibonacci", "--from", "4", "--to", "40",
                      "--direction", "decreasing"]) == EXIT_USAGE
+
+    def test_table_ignores_the_cap_it_does_not_use(self, capsys, monkeypatch):
+        argv = ["table", "--seq", "fibonacci", "--indices", "10"]
+        for fmt in ("text", "json"):
+            assert main(argv + ["--format", fmt]) == EXIT_OK
+            plain = capsys.readouterr().out
+            monkeypatch.setenv("RATIOCERT_MAX_BITS", "64")
+            assert main(argv + ["--format", fmt]) == EXIT_OK
+            capped = capsys.readouterr().out
+            monkeypatch.delenv("RATIOCERT_MAX_BITS")
+            if fmt == "json":
+                plain, capped = json.loads(plain), json.loads(capped)
+                plain.pop("wall_ms"), capped.pop("wall_ms")
+            assert capped == plain
 
     def test_tight_env_cap_makes_suite_undecided(self, capsys, monkeypatch):
         monkeypatch.setenv("RATIOCERT_MAX_BITS", "128")

@@ -428,12 +428,14 @@ class TestRatioTable:
             assert enc.strictly_positive()
 
     def test_product_square_doubles_log_ratio(self):
-        from ratiocert.numerics import iv_scale
+        from ratiocert.numerics import Dyadic, DyadicInterval
 
         fib = fibonacci()
         single = ratio_table(fib, [10])[0][1]
         squared = ratio_table(Product(fib, fib), [10])[0][1]
-        assert squared.intersects(iv_scale(single, 2))
+        doubled = DyadicInterval(Dyadic(single.lo.mantissa, single.lo.exponent + 1),
+                                 Dyadic(single.hi.mantissa, single.hi.exponent + 1))
+        assert squared.intersects(doubled)
 
     def test_harmonic_definite_sign(self):
         (_, enc), = ratio_table(Harmonic(1), [10])

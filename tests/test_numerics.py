@@ -1,4 +1,4 @@
-"""Core numeric layer: dyadics, outward rounding, certified ln and e.
+"""Core numeric layer: dyadics, fixed-point pair operations, certified ln and e.
 
 Oracle values come from mpmath at 60 significant digits, padded by a margin
 far below every tested width, so containment assertions never depend on our
@@ -16,26 +16,17 @@ from hypothesis import strategies as st
 
 from ratiocert.numerics import (
     MIN_PRECISION_BITS,
-    DivisionByIntervalContainingZero,
     Dyadic,
     DyadicInterval,
     NonPositiveArgument,
-    Ordering,
-    cmp_exact,
+    _div_fixed,
+    _e_fixed,
+    _fixed_interval,
+    _fixed_rational,
+    _mul_fixed,
+    _pow_fixed,
     interval_e,
     interval_ln,
-    iv_abs,
-    iv_add_exact,
-    iv_div,
-    iv_mul,
-    iv_neg,
-    iv_pow_nonneg,
-    iv_round,
-    iv_scale,
-    iv_shift,
-    iv_sub,
-    iv_sub_exact,
-    round_outward,
 )
 
 mpmath.mp.dps = 60
@@ -49,14 +40,18 @@ def mp_ln(x: Fraction) -> Fraction:
     return Fraction(mpmath.nstr(val, 55, strip_zeros=False))
 
 
+def dyadic_of(x: Fraction) -> Dyadic:
+    # the exact Dyadic of a rational whose denominator is a power of two
+    assert x.denominator & (x.denominator - 1) == 0
+    return Dyadic(x.numerator, 1 - x.denominator.bit_length())
+
+
 def assert_contains_oracle(iv: DyadicInterval, oracle: Fraction) -> None:
     assert iv.lo.as_fraction() <= oracle + ORACLE_PAD
     assert oracle - ORACLE_PAD <= iv.hi.as_fraction()
 
 
 fractions_pos = st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**9))
-fractions_any = st.fractions(min_value=Fraction(-(10**9)), max_value=Fraction(10**9))
-small_bits = st.integers(min_value=MIN_PRECISION_BITS, max_value=192)
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +78,6 @@ class TestDyadic:
             assert (a <= b) == (a.as_fraction() <= b.as_fraction())
             assert (a == b) == (a.as_fraction() == b.as_fraction())
 
-    @given(
-        st.integers(-(10**12), 10**12), st.integers(-40, 40),
-        st.integers(-(10**12), 10**12), st.integers(-40, 40),
-    )
-    def test_arithmetic_is_exact(self, m1, e1, m2, e2):
-        a, b = Dyadic(m1, e1), Dyadic(m2, e2)
-        assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-        assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
-        assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
-
     def test_float_conversion(self):
         assert float(Dyadic(3, -1)) == 1.5
         assert float(Dyadic(1, 2000)) == math.inf
@@ -109,136 +94,6 @@ class TestInterval:
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValueError):
             DyadicInterval(Dyadic(1, 0), Dyadic(0, 0))
-
-
-# ---------------------------------------------------------------------------
-# outward rounding
-
-
-class TestRoundOutward:
-    def test_exact_dyadic_gives_point(self):
-        iv = round_outward(Fraction(3, 8), 16)
-        assert iv.is_point() and iv.lo.as_fraction() == Fraction(3, 8)
-
-    def test_contains_and_width_bound(self):
-        rng = random.Random(2026)
-        for _ in range(2000):
-            num = rng.randint(-(10**12), 10**12)
-            den = rng.randint(1, 10**12)
-            if num == 0:
-                continue
-            x = Fraction(num, den)
-            bits = rng.choice((16, 24, 53, 64, 128))
-            iv = round_outward(x, bits)
-            assert iv.lo.as_fraction() <= x <= iv.hi.as_fraction()
-            bound = Fraction(2) ** (1 - bits) * max(Fraction(1), abs(x))
-            assert iv.width().as_fraction() <= bound
-
-    def test_nesting_in_precision(self):
-        x = Fraction(355, 113)
-        outer, inner = round_outward(x, 20), round_outward(x, 80)
-        assert outer.encloses(inner)
-
-    def test_precision_floor_enforced(self):
-        with pytest.raises(ValueError):
-            round_outward(Fraction(1, 3), MIN_PRECISION_BITS - 1)
-
-
-# ---------------------------------------------------------------------------
-# interval arithmetic
-
-
-class TestIntervalArith:
-    @staticmethod
-    def _rand_interval(rng, lo_mag=10**6):
-        a = Fraction(rng.randint(-lo_mag, lo_mag), rng.randint(1, 997))
-        b = a + Fraction(rng.randint(0, 1000), rng.randint(1, 997))
-        return DyadicInterval(
-            round_outward(a, 64).lo if a else Dyadic(0, 0),
-            round_outward(b, 64).hi if b else Dyadic(0, 0),
-        )
-
-    def test_containment_randomized(self):
-        # the four basic operations keep the exact rational result inside
-        rng = random.Random(90125)
-        ops = {
-            "add": iv_add_exact,
-            "sub": lambda a, b: iv_sub(a, b, 64),
-            "mul": lambda a, b: iv_mul(a, b, 64),
-            "div": lambda a, b: iv_div(a, b, 64),
-        }
-        for _ in range(2500):
-            a = self._rand_interval(rng)
-            b = self._rand_interval(rng)
-            xa = (a.lo.as_fraction() + a.hi.as_fraction()) / 2
-            xb = (b.lo.as_fraction() + b.hi.as_fraction()) / 2
-            op = rng.choice(tuple(ops))
-            if op == "div" and b.contains_zero():
-                with pytest.raises(DivisionByIntervalContainingZero):
-                    ops[op](a, b)
-                continue
-            out = ops[op](a, b)
-            exact = {
-                "add": xa + xb, "sub": xa - xb, "mul": xa * xb,
-                "div": xa / xb if xb else None,
-            }[op]
-            assert out.lo.as_fraction() <= exact <= out.hi.as_fraction()
-
-    def test_exact_ops(self):
-        a = DyadicInterval(Dyadic(1, -2), Dyadic(3, -2))
-        b = DyadicInterval(Dyadic(1, 0), Dyadic(5, -2))
-        s = iv_add_exact(a, b)
-        assert s.lo.as_fraction() == Fraction(5, 4) and s.hi.as_fraction() == 2
-        d = iv_sub_exact(a, b)
-        assert d.lo.as_fraction() == Fraction(1, 4) - Fraction(5, 4)
-        n = iv_neg(a)
-        assert n.lo.as_fraction() == -a.hi.as_fraction()
-        assert iv_abs(n) == a
-        sc = iv_scale(a, -4)
-        assert sc.lo.as_fraction() == -3 and sc.hi.as_fraction() == -1
-        sh = iv_shift(a, 3)
-        assert sh.lo.as_fraction() == 2 and sh.hi.as_fraction() == 6
-
-    def test_div_by_zero_interval(self):
-        a = DyadicInterval.point(1)
-        z = DyadicInterval(Dyadic(-1, 0), Dyadic(1, 0))
-        with pytest.raises(DivisionByIntervalContainingZero):
-            iv_div(a, z, 64)
-
-    def test_pow_nonneg(self):
-        a = round_outward(Fraction(3, 7), 64)
-        p = iv_pow_nonneg(a, 11, 64)
-        exact = Fraction(3, 7) ** 11
-        assert p.lo.as_fraction() <= exact <= p.hi.as_fraction()
-        one = iv_pow_nonneg(a, 0, 64)
-        assert one.is_point() and one.lo.as_fraction() == 1
-        with pytest.raises(ValueError):
-            iv_pow_nonneg(a, -1, 64)
-
-    @given(fractions_any, fractions_any, small_bits)
-    def test_mul_containment_property(self, x, y, bits):
-        a, b = round_outward(x, bits) if x else DyadicInterval.point(0), None
-        b = round_outward(y, bits) if y else DyadicInterval.point(0)
-        out = iv_mul(a, b, bits)
-        assert out.lo.as_fraction() <= x * y <= out.hi.as_fraction()
-
-
-class TestCmpExact:
-    def test_examples(self):
-        assert cmp_exact(Fraction(1, 3), Fraction(1, 3)) is Ordering.EQUAL
-        assert cmp_exact(Fraction(2, 3), Fraction(3, 4)) is Ordering.LESS
-        assert cmp_exact(Fraction(49, 36), Fraction(11, 6)) is Ordering.LESS
-        assert cmp_exact(7, 5) is Ordering.GREATER
-
-    @given(fractions_any, fractions_any)
-    def test_trichotomy(self, a, b):
-        out = cmp_exact(a, b)
-        if a < b:
-            assert out is Ordering.LESS
-        elif a > b:
-            assert out is Ordering.GREATER
-        else:
-            assert out is Ordering.EQUAL
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +116,8 @@ class TestIntervalLn:
     def test_ln_four_consistent_with_doubling(self):
         ln2 = interval_ln(2, 128)
         ln4 = interval_ln(4, 128)
-        doubled = iv_scale(ln2, 2)
+        doubled = DyadicInterval(Dyadic(ln2.lo.mantissa, ln2.lo.exponent + 1),
+                                 Dyadic(ln2.hi.mantissa, ln2.hi.exponent + 1))
         assert ln4.intersects(doubled)
         assert ln4.width().as_fraction() <= 4 * doubled.width().as_fraction() + Fraction(2) ** -100
 
@@ -272,6 +128,12 @@ class TestIntervalLn:
         straddle = DyadicInterval(Dyadic(-1, 0), Dyadic(1, 0))
         with pytest.raises(NonPositiveArgument):
             interval_ln(straddle, 64)
+
+    def test_precision_floor_enforced(self):
+        with pytest.raises(ValueError):
+            interval_ln(Fraction(1, 3), MIN_PRECISION_BITS - 1)
+        with pytest.raises(ValueError):
+            interval_e(MIN_PRECISION_BITS - 1)
 
     def test_interval_image(self):
         x = DyadicInterval(Dyadic(1, 0), Dyadic(2, 0))
@@ -315,7 +177,9 @@ class TestIntervalLn:
     def test_log_homomorphism_intersection(self, x, y):
         bits = 96
         lhs = interval_ln(x * y, bits)
-        rhs = iv_add_exact(interval_ln(x, bits), interval_ln(y, bits))
+        a, b = interval_ln(x, bits), interval_ln(y, bits)
+        rhs = DyadicInterval(dyadic_of(a.lo.as_fraction() + b.lo.as_fraction()),
+                             dyadic_of(a.hi.as_fraction() + b.hi.as_fraction()))
         assert lhs.intersects(rhs)
 
     def test_determinism(self):
@@ -348,18 +212,78 @@ class TestIntervalE:
         assert iv.width().as_fraction() <= Fraction(2) ** -14
 
     def test_six_e_plus_three(self):
-        iv = iv_add_exact(iv_scale(interval_e(128), 6), DyadicInterval.point(3))
-        assert Fraction("19.309") <= iv.lo.as_fraction()
-        assert iv.hi.as_fraction() <= Fraction("19.310")
+        e = interval_e(128)
+        assert Fraction("19.309") <= 6 * e.lo.as_fraction() + 3
+        assert 6 * e.hi.as_fraction() + 3 <= Fraction("19.310")
 
     def test_nesting(self):
         assert interval_e(32).encloses(interval_e(128))
 
 
-class TestRoundingHelpers:
-    def test_iv_round_widens_outward(self):
-        a = DyadicInterval(Dyadic((1 << 40) + 1, -40), Dyadic((1 << 41) - 1, -40))
-        r = iv_round(a, 16)
-        assert r.encloses(a)
-        assert r.lo.as_fraction() <= a.lo.as_fraction()
-        assert a.hi.as_fraction() <= r.hi.as_fraction()
+# ---------------------------------------------------------------------------
+# fixed-point pairs [lo, hi] * 2**-(bits+8): product, power, quotient, e, n!/e
+
+pair_bits = st.sampled_from((128, 256, 512, 1024, 2048))
+fractions_nonneg = st.fractions(min_value=0, max_value=Fraction(10**6), max_denominator=10**9)
+
+
+def mp_fraction(v) -> Fraction:
+    m, e = v.man_exp  # the magnitude; the sign is apart
+    return Fraction(m) * Fraction(2) ** e * (-1 if v < 0 else 1)
+
+
+def assert_contains_mp(iv: DyadicInterval, value, bits: int) -> None:
+    # value is an mpf taken at 3*bits + 64 bits; the pad is far below an ulp
+    v = mp_fraction(value)
+    pad = abs(v) / 2 ** (2 * bits)
+    assert iv.lo.as_fraction() <= v + pad and v - pad <= iv.hi.as_fraction()
+
+
+def nested_pairs(pair_at, bits: int) -> DyadicInterval:
+    # the enclosure at bits, after asserting that the one at bits // 2 holds it
+    outer = _fixed_interval(*pair_at(bits // 2), bits // 2)
+    inner = _fixed_interval(*pair_at(bits), bits)
+    assert outer.encloses(inner)
+    return inner
+
+
+class TestFixedPairs:
+    @given(fractions_nonneg, fractions_nonneg, pair_bits)
+    @settings(max_examples=60, deadline=None)
+    def test_product_contains_and_nests(self, x, y, bits):
+        iv = nested_pairs(
+            lambda b: _mul_fixed(_fixed_rational(x, b), _fixed_rational(y, b), b), bits)
+        assert iv.contains(x * y)
+
+    @given(st.fractions(min_value=0, max_value=4, max_denominator=10**9),
+           st.integers(0, 12), pair_bits)
+    @settings(max_examples=60, deadline=None)
+    def test_power_contains_and_nests(self, x, k, bits):
+        iv = nested_pairs(lambda b: _pow_fixed(_fixed_rational(x, b), k, b), bits)
+        assert iv.contains(x**k)
+
+    @given(fractions_nonneg, fractions_pos, pair_bits)
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_contains_and_nests(self, x, y, bits):
+        iv = nested_pairs(
+            lambda b: _div_fixed(_fixed_rational(x, b), _fixed_rational(y, b), b), bits)
+        assert iv.contains(x / y)
+
+    @pytest.mark.parametrize("bits", [128, 256, 512, 1024, 2048])
+    def test_e_contains_and_nests(self, bits):
+        iv = nested_pairs(_e_fixed, bits)
+        assert interval_e(bits).encloses(iv)
+        with mpmath.workprec(3 * bits + 64):
+            assert_contains_mp(iv, +mpmath.e, bits)
+
+    @pytest.mark.parametrize("bits", [128, 256, 512, 1024, 2048])
+    @pytest.mark.parametrize("n", [2, 10, 35, 58, 100, 300])
+    def test_factorial_over_e_contains_and_nests(self, n, bits):
+        # the quotient check_derangement_offset compares with D_n
+        def f_over_e(b):
+            f = math.factorial(n) * _fixed_rational(1, b)[0]
+            return _div_fixed((f, f), _e_fixed(b), b)
+
+        iv = nested_pairs(f_over_e, bits)
+        with mpmath.workprec(3 * bits + 64):
+            assert_contains_mp(iv, mpmath.factorial(n) / mpmath.e, bits)

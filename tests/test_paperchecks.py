@@ -133,6 +133,14 @@ class TestDerangementBounds:
         with pytest.raises(ValueError):
             check_derangement_offset(1)
 
+    def test_offset_decides_on_the_first_rung_at_35(self):
+        # 35!/e is about 2**131.7: its quotient at the one scale 2**-136 is
+        # tight enough at 128 bits, where a 128-bit relative rounding was not
+        out = check_derangement_offset(35)
+        assert out.status is CheckStatus.CERTIFIED
+        assert out.detail["bits"] == 128
+        assert out.stats.escalations == 0
+
     def test_second_difference(self):
         for n in (3, 4, 27, 100):
             assert check_offset_second_difference(n).status is CheckStatus.CERTIFIED
@@ -215,6 +223,21 @@ class TestSuite:
         assert all(r.status is CheckStatus.CERTIFIED for r in results)
         names = [r.name for r in results]
         assert len(names) == len(set(names)), "check names must be unique"
+
+    # (max_bits, escalations) of each check in the default paper_suite() when
+    # n!/e, 6e + 3, gamma and q were still taken on relative-rounding intervals
+    EARLIER_FIGURES = {
+        "fibonacci-steps-4-5": (0, 0),
+        "derangement-offset-range": (512, 29),
+    }
+
+    def test_default_suite_needs_no_more_precision_than_before(self):
+        results = paper_suite()
+        assert len(results) == 21
+        for r in results:
+            bits, escalations = self.EARLIER_FIGURES.get(r.name, (128, 0))
+            assert r.stats.max_bits <= bits, r.name
+            assert r.stats.escalations <= escalations, r.name
 
     def test_tight_cap_goes_undecided_not_wrong(self):
         # the offset margin near n = 60 needs ~400 bits, far beyond this cap

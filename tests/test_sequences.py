@@ -10,6 +10,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -261,16 +262,15 @@ class TestLucasConstants:
         lc = lucas_constants(3, 2, 64)
         assert lc.discriminant == 1
         assert lc.gamma.is_point() and lc.gamma.lo.as_fraction() == Fraction(1, 2)
-        # q = -ln(1 - 1/2) / (1/2) = 2 ln 2
-        two_ln2 = Fraction("1.38629436111989061883")
+        # q = -ln(1 - 1/2) / (1/2) = 2 ln 2, here to 40 digits: the enclosure's
+        # scale is 2**-72, so a 20-digit truncation may lie outside it
+        two_ln2 = Fraction("1.3862943611198906188344642429163531361510")
         assert lc.q.contains(two_ln2)
 
     def test_gamma_sixth_power_bound(self):
-        from ratiocert.numerics import iv_pow_nonneg, iv_scale
-
         lc = lucas_constants(1, -1, 64)
-        sixth = iv_scale(iv_pow_nonneg(lc.gamma_abs, 6, 64), 56)
-        assert sixth.hi.as_fraction() < Fraction(1, 3)
+        sixth_hi = 56 * lc.gamma_abs.hi.as_fraction() ** 6
+        assert sixth_hi < Fraction(1, 3)
 
     def test_alpha_beta_invariants(self):
         for a, b in ((1, -1), (2, -1), (3, 2), (5, 3), (6, 2)):
@@ -288,6 +288,24 @@ class TestLucasConstants:
             assert 0 <= lc.gamma_abs.lo.as_fraction()
             assert lc.gamma_abs.hi.as_fraction() < 1
             assert lc.q.lo.as_fraction() > 0
+
+    @pytest.mark.parametrize("bits", [128, 256, 512, 1024, 2048])
+    @pytest.mark.parametrize("a,b", [(1, -1), (2, -1), (3, 2), (5, 6), (6, 2)])
+    def test_enclosures_contain_oracle_and_nest(self, a, b, bits):
+        lc = lucas_constants(a, b, bits)
+        coarse = lucas_constants(a, b, bits // 2)
+        with mpmath.workprec(3 * bits + 64):
+            gamma = (a - mpmath.sqrt(a * a - 4 * b)) ** 2 / (4 * b)
+            q = -mpmath.log(1 - abs(gamma)) / abs(gamma)
+            for name, value in (("gamma", gamma), ("gamma_abs", abs(gamma)), ("q", q)):
+                iv = getattr(lc, name)
+                m, e = value.man_exp  # the magnitude; the sign is apart
+                v = Fraction(m) * Fraction(2) ** e * (-1 if value < 0 else 1)
+                pad = abs(v) / 2 ** (2 * bits)
+                assert iv.lo.as_fraction() <= v + pad and v - pad <= iv.hi.as_fraction(), name
+                assert getattr(coarse, name).encloses(iv), name
+        if (a, b) == (3, 2):
+            assert lc.gamma.is_point() and lc.gamma.lo.as_fraction() == Fraction(1, 2)
 
     def test_validation(self):
         with pytest.raises(InvalidParameters):
