@@ -59,22 +59,28 @@ DEFAULT_EXACT_BUDGET = 1 << 31
 # deterministic, so the route taken never depends on the load.
 #
 #   decide_exact (best of 3)              estimated bits      ms
-#     fibonacci ratio step, n = 12                 6 222   0.014
-#     fibonacci ratio step, n = 24                44 314    0.22
-#     Firoozbakht, n = 10^4                      360 018     5.4
-#     harmonic(10) ratio step, n = 16            519 596    23.9
-#     derangement ratio step, n = 48           2 003 878     129
+#     fibonacci ratio step, n = 12                 6 222   0.016
+#     fibonacci ratio step, n = 24                44 314    0.26
+#     Firoozbakht, n = 10^4                      360 018     5.5
+#     harmonic(10) ratio step, n = 16            519 596    24.0
+#     derangement ratio step, n = 48           2 003 878     140
 #   Karatsuba products: ~1.2e-11 s * bits^1.58 (median over 24 ratio steps
 #   of six sequences; the least-squares exponent is 1.59).
 #
-#   one rung, per term, ln cache cold (median of 10 ratio steps of six
-#   sequences, best of 5)
-#     bits    128    256   512  1024  2048  4096  8192  16384
-#     ms    0.039  0.069  0.20  0.56   2.5    19   121    719
-#   ~4e-5 s + 8e-12 s * bits^2.6 per term: the atanh series needs O(bits)
-#   products of bits-bit integers.  Both tables come from one run.  Within a
-#   scan each term's ln is computed once and reused by the next two steps, so
-#   there a rung costs about a third of this prediction.
+#   one rung, per term, ln cache cold, ln table warm (median of 10 ratio
+#   steps of six sequences, best of 5)
+#     bits    128    256    512   1024  2048  4096  8192  16384
+#     ms    0.010  0.014  0.029  0.101  0.57   3.5    21    124
+#   These fit ~1.1e-5 s + 1.5e-12 s * bits^2.6 per term: the atanh series
+#   needs about bits/16 products of bits-bit integers.  Both tables were
+#   measured together.  The rung constants below are still the fit to the
+#   kernel before the ln table (0.039 ms at 128 bits, 121 ms at 8192), three
+#   to six times these times.  Refitted, they only moved small steps from the
+#   exact route to the first rung, which measured no faster, and they let an
+#   exact tie climb one rung further (the 3M-bit tie of Geometric(10) at
+#   n = 60: 6 escalations, not 5).  Within a scan each term's ln is computed
+#   once and reused by the next two steps, so there a rung costs about a
+#   third of the prediction.
 _EXACT_S = 1.2e-11
 _EXACT_POWER = 1.58
 _RUNG_TERM_S = 4e-5

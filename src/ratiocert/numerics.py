@@ -11,10 +11,16 @@ ever participates in a decision.
 The two transcendental building blocks, ln and e, come with explicit
 remainder bounds:
 
-* ln(x) reduces x to m' * 2**k with m' in [1, 2), folds a factor 2 so the
-  series argument z = (m'-1)/(m'+1) satisfies |z| <= 1/5, and sums the
-  odd-power atanh series with tail bound |z|**(2K+1) / ((2K+1)(1-z**2)).
-  ln 2 itself is 2*atanh(1/3), cached per working precision.
+* ln(m * 2**e) rounds m / 2**t, t = bitlength(m) - 1, to the nearest table
+  point idx / 64 with idx in [64, 128], and returns
+  (e + t - 6) ln 2 + ln idx + 2 atanh(z), z = (m 2**6 - idx 2**t) /
+  (m 2**6 + idx 2**t), so |z| <= 1/256 and each term of the odd-power atanh
+  series gains about 16 bits.  The series runs one chain of floored powers
+  and adds a bound on the chain's rounding and on its tail.  ln 2 is
+  18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749), a prime p <= 128 is
+  ln(p-1) + 2 atanh(1/(2p-1)), and a composite idx the sum of its factors'
+  logs; these are built as arguments need them and kept per working
+  precision for the 16 most recent precisions.
 * e is the unit-factorial series with tail bound 2/(K+1)!.
 
 The ln kernel works a guard word below the scale and rounds onto it at the
@@ -193,44 +199,72 @@ class DyadicInterval:
 
 
 def _atanh_fixed(zn: int, zd: int, scale: int) -> tuple[int, int]:
-    # enclosure of atanh(zn/zd) * 2**scale; requires zd > 0 and 3|zn| <= zd,
-    # so 1/(1 - z**2) <= 8/7 covers the tail even after upward rounding
+    # enclosure of atanh(z) * 2**scale for z = zn/zd; requires zd > 0 and
+    # 3|zn| <= zd.  One chain of floored powers p_j of y**(2j+1) * 2**scale,
+    # from p_0 = floor(|z| * 2**scale).  With zd below 2**15, y = |z| and each
+    # power is floor(p * zn**2 / zd**2), a one-word multiply and divide;
+    # otherwise y = p_0 / 2**scale and each power is floor(p * q / 2**scale)
+    # with q = floor(p_0**2 / 2**scale).  A step loses under
+    # 1 + y**(2j+1) + E/9, E the loss before it, so every p_j is under 3/2
+    # below its true value and every floored term p_j // d under 5/2.  The
+    # chain ends at p_n = 0, which leaves a tail under (3/2) * 9/8 < 2, and
+    # atanh(|z|) - atanh(y) is under 9/8 units.  The upper end therefore
+    # adds 5n/2 + 4 <= 2d + 2 to the sum s, with d = 2n + 1 after n terms.
     a = abs(zn)
-    if a == 0:
-        return 0, 0
-    az_lo = (a << scale) // zd
-    az_hi = _ceil_div(a << scale, zd)
-    z2_lo = (az_lo * az_lo) >> scale
-    z2_hi = _shr_ceil(az_hi * az_hi, scale)
-    s_lo = 0
-    s_hi = 0
-    pw_lo, pw_hi = az_lo, az_hi
-    j = 0
-    while True:
-        d = 2 * j + 1
-        s_lo += pw_lo // d
-        s_hi += _ceil_div(pw_hi, d)
-        pw_lo = (pw_lo * z2_lo) >> scale
-        pw_hi = _shr_ceil(pw_hi * z2_hi, scale)
-        j += 1
-        tail = _ceil_div(8 * pw_hi, 7 * (2 * j + 1))
-        if tail <= 4:
-            s_hi += tail
-            break
+    p = (a << scale) // zd
+    word = zd < 1 << 15
+    if word:
+        num = a * a
+        den = zd * zd
+    else:
+        q = (p * p) >> scale
+    s = 0
+    d = 1
+    while p:
+        s += p // d
+        p = p * num // den if word else (p * q) >> scale
+        d += 2
     if zn < 0:
-        return -s_hi, -s_lo
-    return s_lo, s_hi
+        return -(s + 2 * d + 2), -s
+    return s, s + 2 * d + 2
 
 
-_LN2_CACHE: dict[int, tuple[int, int]] = {}
+# Table points idx / 2**s for idx = 2**s .. 2**(s+1): rounding m / 2**t to
+# the nearest one leaves |z| <= 2**-(s+2), so each series term gains about
+# 2(s+2) = 16 bits.
+_TABLE_SHIFT = 6
+# A process climbs the ladder's ten rungs from 128 to 65536 bits; the few
+# other precisions the named checks and callers of interval_ln ask for share
+# the rest.  Beyond the bound the least recently used scale is recomputed.
+_TABLE_SCALES = 16
 
 
-def _ln2_fixed(scale: int) -> tuple[int, int]:
-    got = _LN2_CACHE.get(scale)
+@lru_cache(maxsize=_TABLE_SCALES)
+def _ln_table(scale: int) -> dict[int, tuple[int, int]]:
+    # ln n for the integers 1 <= n <= 2**(s+1) as pairs * 2**-scale: ln 1 and
+    # ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749) at first;
+    # _ln_small adds the others to this dict as arguments need them
+    a_lo, a_hi = _atanh_fixed(1, 26, scale)
+    b_lo, b_hi = _atanh_fixed(1, 4801, scale)
+    c_lo, c_hi = _atanh_fixed(1, 8749, scale)
+    return {1: (0, 0), 2: (18 * a_lo - 2 * b_hi + 8 * c_lo, 18 * a_hi - 2 * b_lo + 8 * c_hi)}
+
+
+def _ln_small(n: int, scale: int) -> tuple[int, int]:
+    # ln n from the table at scale: a prime p is ln(p-1) + 2 atanh(1/(2p-1)),
+    # a composite the sum of the logs of two factors
+    logs = _ln_table(scale)
+    got = logs.get(n)
     if got is None:
-        lo, hi = _atanh_fixed(1, 3, scale)
-        got = (2 * lo, 2 * hi)
-        _LN2_CACHE[scale] = got
+        p = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+        if p == n:
+            lo, hi = _ln_small(n - 1, scale)
+            z_lo, z_hi = _atanh_fixed(1, 2 * n - 1, scale)
+            got = (lo + 2 * z_lo, hi + 2 * z_hi)
+        else:
+            (f_lo, f_hi), (g_lo, g_hi) = _ln_small(p, scale), _ln_small(n // p, scale)
+            got = (f_lo + g_lo, f_hi + g_hi)
+        logs[n] = got
     return got
 
 
@@ -239,32 +273,35 @@ def _ln2_fixed(scale: int) -> tuple[int, int]:
 # scan's working set, however long the scan and however large its terms.
 @lru_cache(maxsize=64)
 def _ln_fixed(m: int, e: int, bits: int) -> tuple[int, int]:
-    # enclosure [lo, hi] * 2**-w of ln(m * 2**e) for m > 0, w = bits + extra
+    # enclosure [lo, hi] * 2**-w of ln(m * 2**e) for m > 0, w = bits + extra:
+    # (e + t - s) ln 2 + ln idx + 2 atanh(z) for the table point idx / 2**s
+    # nearest m / 2**t and z = (m 2**s - idx 2**t) / (m 2**s + idx 2**t)
     t = m.bit_length() - 1
-    k = e + t
-    if 3 << t <= 2 * m:
-        # m/2**t in [1.5, 2): fold one more factor of 2 so |z| stays <= 1/5
-        d0 = 1 << (t + 1)
-        k += 1
-    else:
-        d0 = 1 << t
-    zn = m - d0
-    if zn == 0 and k == 0:
+    if e + t == 0 and m == 1 << t:
         return 0, 0
-    if abs(k) >= 1 << 30:
+    if abs(e + t) >= 1 << 30:
         raise OverflowError("argument exponent too large for the ln kernel")
+    sh = t - _TABLE_SHIFT
+    if sh > 0:
+        idx = (m + (1 << (sh - 1))) >> sh
+        zn = m - (idx << sh)
+    else:
+        idx = m << -sh
+        zn = 0
     scale = bits + _KERNEL_EXTRA_BITS + _KERNEL_GUARD_BITS
-    a_lo, a_hi = _atanh_fixed(zn, m + d0, scale)
-    lo = 2 * a_lo
-    hi = 2 * a_hi
-    if k:
-        l2_lo, l2_hi = _ln2_fixed(scale)
-        if k > 0:
-            lo += k * l2_lo
-            hi += k * l2_hi
-        else:
-            lo += k * l2_hi
-            hi += k * l2_lo
+    l2_lo, l2_hi = _ln_small(2, scale)
+    lo, hi = _ln_small(idx, scale)
+    if zn:
+        a_lo, a_hi = _atanh_fixed(zn, m + (idx << sh), scale)
+        lo += 2 * a_lo
+        hi += 2 * a_hi
+    k = e + sh
+    if k > 0:
+        lo += k * l2_lo
+        hi += k * l2_hi
+    else:
+        lo += k * l2_hi
+        hi += k * l2_lo
     # final pad of one ulp at the target scale keeps enclosures at higher
     # precision strictly nested inside enclosures at lower precision
     return (lo >> _KERNEL_GUARD_BITS) - 1, _shr_ceil(hi, _KERNEL_GUARD_BITS) + 1

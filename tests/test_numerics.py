@@ -19,10 +19,17 @@ from ratiocert.numerics import (
     Dyadic,
     DyadicInterval,
     NonPositiveArgument,
+    _KERNEL_EXTRA_BITS,
+    _KERNEL_GUARD_BITS,
+    _TABLE_SCALES,
+    _TABLE_SHIFT,
+    _atanh_fixed,
     _div_fixed,
     _e_fixed,
     _fixed_interval,
     _fixed_rational,
+    _ln_fixed,
+    _ln_table,
     _mul_fixed,
     _pow_fixed,
     interval_e,
@@ -192,6 +199,104 @@ class TestIntervalLn:
         w1 = interval_ln(x, 32).width().as_fraction()
         w2 = interval_ln(x, 64).width().as_fraction()
         assert w2 <= w1
+
+
+# ---------------------------------------------------------------------------
+# the table-driven ln kernel at the edges of its reduction
+
+S = _TABLE_SHIFT
+kernel_bits = pytest.mark.parametrize("bits", [16, 24, 53, 128, 509, 2048, 8192])
+
+
+def kernel_arguments(bits: int) -> list[tuple[int, int]]:
+    # (m, e) pairs for ln(m * 2**e) at the reduction's edges
+    args = []
+    for t in (S + 1, 40, 300):
+        args += [((1 << t) + 1, 0), ((1 << t) - 1, 3)]  # 2**t - 1 rounds up to idx 2**(s+1)
+        for idx in ((1 << S), 90, (2 << S) - 1):
+            # the midpoint between idx and idx + 1, the worst |z|
+            args.append(((2 * idx + 1) << (t - S - 1), -t))
+    args += [(m, e) for m in (1, 3, 5, 7, (1 << S) - 1) for e in (0, -9, 17)]
+    # a fixed-point value at the kernel's scale, as _ln_scaled passes it
+    w = bits + _KERNEL_EXTRA_BITS
+    args += [(7 << (w - 5), -w), ((3 << w) // 10, -w), ((37 << w) // 10 + 1, -w)]
+    # |e + t| just under 2**30
+    args += [(12345, (1 << 30) - 1 - 13), (12345, 13 - (1 << 30)), (1, 1 - (1 << 30))]
+    return args
+
+
+def kernel_interval(m: int, e: int, bits: int) -> DyadicInterval:
+    return _fixed_interval(*_ln_fixed(m, e, bits), bits)
+
+
+class TestLnKernel:
+    @kernel_bits
+    def test_edges_contain_oracle_and_nest(self, bits):
+        for m, e in kernel_arguments(bits):
+            with mpmath.workprec(3 * bits + 128):
+                truth = mp_fraction(mpmath.log(m) + e * mpmath.log(2))
+            pad = Fraction(1, 2 ** (2 * bits + 40))
+            iv = kernel_interval(m, e, bits)
+            assert iv.lo.as_fraction() <= truth + pad, (m, e)
+            assert truth - pad <= iv.hi.as_fraction(), (m, e)
+            assert iv.encloses(kernel_interval(m, e, 2 * bits)), (m, e)
+
+    @kernel_bits
+    def test_exponent_shift_intersects_ln_two_multiple(self, bits):
+        l2_lo, l2_hi = _ln_fixed(1, 1, bits)
+        for m, e in kernel_arguments(bits):
+            lo, hi = _ln_fixed(m, 0, bits)
+            lo, hi = (lo + e * l2_lo, hi + e * l2_hi) if e >= 0 else (lo + e * l2_hi, hi + e * l2_lo)
+            assert kernel_interval(m, e, bits).intersects(_fixed_interval(lo, hi, bits)), (m, e)
+
+    def test_exponent_bound(self):
+        with pytest.raises(OverflowError):
+            _ln_fixed(12345, (1 << 30) - 13, 64)
+        with pytest.raises(OverflowError):
+            _ln_fixed(1, -(1 << 30), 64)
+
+    def test_exact_one_at_any_exponent(self):
+        for t in (0, 1, S, 100):
+            assert _ln_fixed(1 << t, -t, 64) == (0, 0)
+
+    def test_table_scales_stay_bounded(self):
+        for bits in range(16, 316):
+            interval_ln(3, bits)
+        info = _ln_table.cache_info()
+        assert info.maxsize == _TABLE_SCALES <= 16
+        assert info.currsize <= _TABLE_SCALES
+
+
+def old_ln_fixed(m: int, e: int, bits: int) -> tuple[int, int]:
+    # the kernel before the table: reduce m / 2**t to [1, 2), fold one more
+    # factor 2 above 1.5 so |z| <= 1/5, and take ln 2 as 2 atanh(1/3)
+    t = m.bit_length() - 1
+    k = e + t
+    if 3 << t <= 2 * m:
+        d0 = 1 << (t + 1)
+        k += 1
+    else:
+        d0 = 1 << t
+    if m == d0 and k == 0:
+        return 0, 0
+    scale = bits + _KERNEL_EXTRA_BITS + _KERNEL_GUARD_BITS
+    a_lo, a_hi = _atanh_fixed(m - d0, m + d0, scale)
+    h_lo, h_hi = _atanh_fixed(1, 3, scale)
+    lo = 2 * a_lo + (2 * k * h_lo if k > 0 else 2 * k * h_hi)
+    hi = 2 * a_hi + (2 * k * h_hi if k > 0 else 2 * k * h_lo)
+    return (lo >> _KERNEL_GUARD_BITS) - 1, -(-hi >> _KERNEL_GUARD_BITS) + 1
+
+
+class TestLnKernelAgreesWithFold:
+    @pytest.mark.parametrize("bits", [128, 2048])
+    def test_enclosures_intersect(self, bits):
+        rng = random.Random(bits)
+        for _ in range(2000):
+            m = rng.getrandbits(rng.randint(1, 4096)) | 1
+            e = rng.randint(-4096, 4096)
+            new = kernel_interval(m, e, bits)
+            old = _fixed_interval(*old_ln_fixed(m, e, bits), bits)
+            assert new.intersects(old), (m, e)
 
 
 class TestIntervalE:
