@@ -18,10 +18,9 @@ from functools import reduce
 from typing import Optional
 
 from .compare import (
-    DEFAULT_CAP_BITS,
-    DEFAULT_EXACT_BUDGET,
-    DEFAULT_START_BITS,
+    DEFAULT_ENGINE,
     Direction,
+    Engine,
     MethodStats,
     MonotonicityReport,
     check_monotone,
@@ -109,26 +108,6 @@ def parse_sequence_token(text: str) -> Sequence:
     raise UsageError(f"unknown sequence token {token!r}")
 
 
-def build_sequence(args: argparse.Namespace) -> Sequence:
-    token = args.seq
-    try:
-        if token == "lucas" and args.A is not None:
-            if args.B is None:
-                raise UsageError("--seq lucas needs both --A and --B")
-            return Lucas(args.A, args.B)
-        if token == "harmonic" and args.m is not None:
-            return Harmonic(args.m)
-        if token == "product" and (args.left or args.right):
-            if not (args.left and args.right):
-                raise UsageError("--seq product needs both --left and --right")
-            return Product(
-                parse_sequence_token(args.left), parse_sequence_token(args.right)
-            )
-    except InvalidParameters as exc:
-        raise UsageError(str(exc)) from exc
-    return parse_sequence_token(token)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -138,72 +117,55 @@ class RunConfig:
     command: str
     fmt: str
     out: Optional[str]
-    precision_cap: int
-    exact_budget: int
-    start_bits: int
+    engine: Engine
     jobs: int
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.precision_cap < 128:
-            raise UsageError(f"precision cap must be >= 128, got {self.precision_cap}")
-        if self.start_bits < 16 or self.start_bits > self.precision_cap:
-            raise UsageError("starting precision must be in [16, precision cap]")
         if self.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        if self.exact_budget < 0:
-            raise UsageError("--exact-budget must be >= 0")
-
-    def engine_opts(self) -> dict:
-        return {
-            "start_bits": self.start_bits,
-            "cap_bits": self.precision_cap,
-            "exact_budget": self.exact_budget,
-        }
 
     def to_json(self) -> dict:
         return {
             "format": self.fmt,
-            "precision_cap": self.precision_cap,
-            "exact_budget": self.exact_budget,
-            "start_bits": self.start_bits,
+            "precision_cap": self.engine.cap_bits,
+            "exact_budget": self.engine.exact_budget,
+            "start_bits": self.engine.start_bits,
             "jobs": self.jobs,
             **self.extra,
         }
 
 
-def _resolve_cap(args: argparse.Namespace) -> int:
-    # table has no ladder: neither the flag nor the environment reaches it
+# Engine's messages name its fields; a user typed the flags
+_FLAGS = {"start_bits": "--start-bits", "cap_bits": "--precision-cap",
+          "exact_budget": "--exact-budget"}
+
+
+def _engine(args: argparse.Namespace) -> Engine:
+    # table has no ladder: neither the flags nor the environment reach it
     if not hasattr(args, "precision_cap"):
-        return DEFAULT_CAP_BITS
-    if args.precision_cap is not None:
-        return args.precision_cap
-    env = os.environ.get(ENV_MAX_BITS)
-    if env is not None:
+        return DEFAULT_ENGINE
+    cap = args.precision_cap
+    if cap is None:
+        env = os.environ.get(ENV_MAX_BITS, str(DEFAULT_ENGINE.cap_bits))
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise UsageError(f"{ENV_MAX_BITS} must be an integer, got {env!r}") from exc
-    return DEFAULT_CAP_BITS
-
-
-def _given(args: argparse.Namespace, name: str, default: int) -> int:
-    # a flag set to 0 is honoured (or rejected), never replaced by the default
-    value = getattr(args, name, None)
-    return default if value is None else value
+    if cap < 128:
+        raise UsageError(f"--precision-cap (or {ENV_MAX_BITS}) must be >= 128, got {cap}")
+    try:
+        return Engine(args.start_bits, cap, args.exact_budget)
+    except ValueError as exc:
+        message = str(exc)
+        for name, flag in _FLAGS.items():
+            message = message.replace(name, flag)
+        raise UsageError(message) from exc
 
 
 def _config(args: argparse.Namespace, command: str, **extra) -> RunConfig:
-    return RunConfig(
-        command=command,
-        fmt=args.format,
-        out=args.out,
-        precision_cap=_resolve_cap(args),
-        exact_budget=_given(args, "exact_budget", DEFAULT_EXACT_BUDGET),
-        start_bits=_given(args, "start_bits", DEFAULT_START_BITS),
-        jobs=_given(args, "jobs", 1),
-        extra=extra,
-    )
+    return RunConfig(command, args.format, args.out, _engine(args),
+                     getattr(args, "jobs", 1), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +205,7 @@ def _doc(command: str, cfg: RunConfig, results: list, violations: list,
 
 
 def _scan_block(payload) -> MonotonicityReport:
-    seq, start, stop, direction, opts = payload
-    return check_monotone(seq, start, stop, direction, **opts)
+    return check_monotone(*payload)
 
 
 def _run_scan(seq: Sequence, start: int, stop: int, direction: Direction,
@@ -252,13 +213,13 @@ def _run_scan(seq: Sequence, start: int, stop: int, direction: Direction,
     window_count = stop - 1 - start
     jobs = min(cfg.jobs, max(1, window_count // 8))
     if jobs <= 1:
-        return check_monotone(seq, start, stop, direction, **cfg.engine_opts())
+        return check_monotone(seq, start, stop, direction, cfg.engine)
     block = -(-window_count // jobs)
     payloads = []
     n = start
     while n <= stop - 2:
         n_hi = min(n + block - 1, stop - 2)
-        payloads.append((seq, n, n_hi + 2, direction, cfg.engine_opts()))
+        payloads.append((seq, n, n_hi + 2, direction, cfg.engine))
         n = n_hi + 1
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_scan_block, payloads))
@@ -279,7 +240,7 @@ def _stats_line(stats: MethodStats) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    seq = build_sequence(args)
+    seq = parse_sequence_token(args.seq)
     cfg = _config(
         args, "check",
         seq=seq.name, start=args.start, stop=args.stop, direction=args.direction,
@@ -330,7 +291,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_find_start(args: argparse.Namespace) -> int:
-    seq = build_sequence(args)
+    seq = parse_sequence_token(args.seq)
     cfg = _config(
         args, "find-start", seq=seq.name, horizon=args.horizon, direction=args.direction,
     )
@@ -390,9 +351,7 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
         prime_horizon=args.prime_horizon,
         offset_max=args.offset_max,
         stirling_max=args.stirling_max,
-        start_bits=cfg.start_bits,
-        cap_bits=cfg.precision_cap,
-        exact_budget=cfg.exact_budget,
+        engine=cfg.engine,
     )
     wall_ms = int((time.perf_counter() - t0) * 1000)
     refuted = [c.name for c in checks if c.status is CheckStatus.REFUTED]
@@ -427,14 +386,16 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    seq = build_sequence(args)
-    if args.indices:
+    seq = parse_sequence_token(args.seq)
+    if args.indices is not None:
+        if (args.start, args.stop, args.step) != (None, None, None):
+            raise UsageError("--indices cannot be combined with --from, --to or --step")
         try:
             indices = [int(tok) for tok in args.indices.split(",") if tok.strip()]
         except ValueError as exc:
             raise UsageError(f"bad --indices: {exc}") from exc
     elif args.start is not None and args.stop is not None:
-        indices = list(range(args.start, args.stop + 1, args.step))
+        indices = list(range(args.start, args.stop + 1, args.step or 1))
     else:
         raise UsageError("table needs --indices or both --from and --to")
     if not indices:
@@ -488,26 +449,22 @@ def _add_common(p: argparse.ArgumentParser, *, engine: bool = True, jobs: bool =
     if not engine:
         return
     p.add_argument("--precision-cap", type=int, default=None,
-                   help=f"interval ladder cap in bits (default {DEFAULT_CAP_BITS}, "
+                   help=f"interval ladder cap in bits (default {DEFAULT_ENGINE.cap_bits}, "
                         f"env {ENV_MAX_BITS})")
-    p.add_argument("--start-bits", type=int, default=None,
-                   help=f"interval ladder starting precision (default {DEFAULT_START_BITS})")
-    p.add_argument("--exact-budget", type=int, default=None,
-                   help=f"exact fallback size budget in bits (default {DEFAULT_EXACT_BUDGET})")
+    p.add_argument("--start-bits", type=int, default=DEFAULT_ENGINE.start_bits,
+                   help="interval ladder starting precision (default %(default)s)")
+    p.add_argument("--exact-budget", type=int, default=DEFAULT_ENGINE.exact_budget,
+                   help="exact fallback size budget in bits (default %(default)s)")
     if jobs:
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                        help="worker processes for range sharding")
 
 
-def _add_sequence_flags(p: argparse.ArgumentParser) -> None:
+def _add_sequence_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seq", required=True,
-                   help="fibonacci | lucas | derangement | harmonic | primes | "
-                        "squarefree-sum | product(a,b); inline args like lucas:3,2")
-    p.add_argument("--A", type=int, default=None, help="lucas: first parameter")
-    p.add_argument("--B", type=int, default=None, help="lucas: second parameter")
-    p.add_argument("--m", type=int, default=None, help="harmonic: order")
-    p.add_argument("--left", default=None, help="product: left child token")
-    p.add_argument("--right", default=None, help="product: right child token")
+                   help="fibonacci | lucas:A,B | derangement | harmonic:m | primes | "
+                        "squarefree-sum | product(x,y); lucas(A,B) and harmonic(m) "
+                        "also work, and product nests")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="scan a range and certify a direction")
-    _add_sequence_flags(p_check)
+    _add_sequence_flag(p_check)
     p_check.add_argument("--from", dest="start", type=int, required=True)
     p_check.add_argument("--to", dest="stop", type=int, required=True)
     p_check.add_argument("--direction", choices=("decreasing", "increasing"), required=True)
@@ -527,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_find = sub.add_parser("find-start", help="empirical minimal valid start index")
-    _add_sequence_flags(p_find)
+    _add_sequence_flag(p_find)
     p_find.add_argument("--horizon", type=int, required=True)
     p_find.add_argument("--direction", choices=("decreasing", "increasing"), required=True)
     _add_common(p_find)
@@ -542,12 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.set_defaults(func=cmd_paper_suite)
 
     p_table = sub.add_parser("table", help="emit ln r_n enclosures")
-    _add_sequence_flags(p_table)
+    _add_sequence_flag(p_table)
     p_table.add_argument("--indices", default=None, help="comma-separated indices")
     p_table.add_argument("--from", dest="start", type=int, default=None)
     p_table.add_argument("--to", dest="stop", type=int, default=None)
-    p_table.add_argument("--step", type=_at_least(1), default=1)
-    p_table.add_argument("--bits", type=_at_least(16), default=DEFAULT_START_BITS)
+    p_table.add_argument("--step", type=_at_least(1), default=None,
+                         help="range step, with --from/--to only (default 1)")
+    p_table.add_argument("--bits", type=_at_least(16), default=DEFAULT_ENGINE.start_bits)
     _add_common(p_table, engine=False)
     p_table.set_defaults(func=cmd_table)
 

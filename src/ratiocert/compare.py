@@ -20,6 +20,10 @@ positive rational x_i.  Three routes exist:
   unresolved there.  The prediction only picks the route: the certificate,
   and so the sign, comes from the route that ran.
 
+One frozen Engine carries every setting of a decision: the ladder's start
+and cap, the exact budget and the mode.  DEFAULT_ENGINE holds the defaults,
+and every function below that decides a sign takes an Engine.
+
 Root-ratio monotonicity reduces to such signs: with r_n =
 a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
 2n(n+2)*ln a_{n+1} - (n+1)(n+2)*ln a_n - n(n+1)*ln a_{n+2} > 0 after
@@ -35,11 +39,11 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence as Seq
 
 from .numerics import (
+    MIN_PRECISION_BITS,
     DyadicInterval,
     Ordering,
     _check_bits,
@@ -49,10 +53,6 @@ from .numerics import (
     interval_ln,  # noqa: F401 -- unused here; perfbench's tracer test reads it
 )
 from .sequences import Product, Sequence
-
-DEFAULT_START_BITS = 128
-DEFAULT_CAP_BITS = 1 << 16
-DEFAULT_EXACT_BUDGET = 1 << 31
 
 # Cost model for choosing the route, in seconds on an Intel Xeon (2 CPUs,
 # Python 3.11).  Only the ratio of the two predictions matters, and it is
@@ -96,6 +96,37 @@ class Direction(Enum):
 class Method(Enum):
     EXACT = "exact"
     INTERVAL = "interval"
+
+
+@dataclass(frozen=True)
+class Engine:
+    """Settings of every certificate: the precision ladder starts at
+    start_bits and doubles up to cap_bits, the exact route builds no
+    cross-power estimated above exact_budget bits, and mode is "adaptive",
+    "interval" or "exact".  The ladder is stored once as `rungs`."""
+
+    start_bits: int = 128
+    cap_bits: int = 1 << 16
+    exact_budget: int = 1 << 31
+    mode: str = "adaptive"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.start_bits, int) or self.start_bits < MIN_PRECISION_BITS:
+            raise ValueError(
+                f"start_bits must be an int >= {MIN_PRECISION_BITS}, got {self.start_bits!r}")
+        if self.cap_bits < self.start_bits:
+            raise ValueError(f"cap_bits {self.cap_bits} is below start_bits {self.start_bits}")
+        if self.exact_budget < 0:
+            raise ValueError(f"exact_budget must be >= 0, got {self.exact_budget}")
+        if self.mode not in ("adaptive", "interval", "exact"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        rungs = [self.start_bits]
+        while rungs[-1] < self.cap_bits:
+            rungs.append(min(rungs[-1] * 2, self.cap_bits))
+        object.__setattr__(self, "rungs", tuple(rungs))
+
+
+DEFAULT_ENGINE = Engine()
 
 
 @dataclass(frozen=True)
@@ -225,42 +256,21 @@ def evaluate_combination(comb: LogCombination, bits: int, offset=0, divisor: int
     return _fixed_interval(*_combination_fixed(comb, bits, offset, divisor), bits)
 
 
-@lru_cache(maxsize=64, typed=True)
-def _ladder(start_bits: int, cap_bits: int) -> tuple[int, ...]:
-    """The working precisions of a certificate: start, 2*start, ... up to the cap."""
-    _check_bits(start_bits)
-    if cap_bits < start_bits:
-        raise ValueError("precision cap below starting precision")
-    rungs = [start_bits]
-    while rungs[-1] < cap_bits:
-        rungs.append(min(rungs[-1] * 2, cap_bits))
-    return tuple(rungs)
-
-
-def sign_of_log_combination(
-    comb: LogCombination,
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    cap_bits: int = DEFAULT_CAP_BITS,
-    exact_budget: int = DEFAULT_EXACT_BUDGET,
-    mode: str = "adaptive",
-) -> Verdict:
+def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGINE) -> Verdict:
     """Certified sign of the combination; see module docstring for routes."""
-    rungs = _ladder(start_bits, cap_bits)
-    if mode not in ("adaptive", "interval", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not comb.terms:
         return Verdict(Ordering.EQUAL, Method.EXACT, None)
     cost = estimate_exact_bits(comb)
-    if mode == "exact":
-        if cost > exact_budget:
+    if engine.mode == "exact":
+        if cost > engine.exact_budget:
             return Verdict(Ordering.UNDECIDED, None, None)
         return Verdict(decide_exact(comb), Method.EXACT, None)
     # predicted seconds of the exact route, None where it may not run
-    exact_s = _exact_s(cost) if mode == "adaptive" and cost <= exact_budget else None
+    adaptive = engine.mode == "adaptive" and cost <= engine.exact_budget
+    exact_s = _exact_s(cost) if adaptive else None
     terms = len(comb.terms)
     spent = 0.0
-    for i, bits in enumerate(rungs):
+    for i, bits in enumerate(engine.rungs):
         if exact_s is not None and exact_s < max(spent, _rung_s(terms, bits)):
             return Verdict(decide_exact(comb), Method.EXACT, None, max(i - 1, 0))
         enc = evaluate_combination(comb, bits)
@@ -274,7 +284,8 @@ def sign_of_log_combination(
     return Verdict(Ordering.UNDECIDED, Method.INTERVAL, bits, i)
 
 
-def cmp_roots(a_lo: Fraction, n: int, a_hi: Fraction, **opts) -> Verdict:
+def cmp_roots(a_lo: Fraction, n: int, a_hi: Fraction,
+              engine: Engine = DEFAULT_ENGINE) -> Verdict:
     """Ordering of a_hi**(1/(n+1)) versus a_lo**(1/n).
 
     Greater means the (n+1)-th root of a_hi exceeds the n-th root of a_lo;
@@ -283,7 +294,7 @@ def cmp_roots(a_lo: Fraction, n: int, a_hi: Fraction, **opts) -> Verdict:
     if n < 1:
         raise ValueError(f"root index must be >= 1, got {n}")
     comb = LogCombination.from_pairs([(n, Fraction(a_hi)), (-(n + 1), Fraction(a_lo))])
-    return sign_of_log_combination(comb, **opts)
+    return sign_of_log_combination(comb, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +334,9 @@ def ratio_step_combination(spec: Sequence, n: int) -> LogCombination:
     return LogCombination.from_pairs(_window_pairs(n, windows))
 
 
-def ratio_step_verdict(spec: Sequence, n: int, **opts) -> Verdict:
+def ratio_step_verdict(spec: Sequence, n: int, engine: Engine = DEFAULT_ENGINE) -> Verdict:
     """Greater iff r_n > r_{n+1} (strictly decreasing step at n)."""
-    return sign_of_log_combination(ratio_step_combination(spec, n), **opts)
+    return sign_of_log_combination(ratio_step_combination(spec, n), engine)
 
 
 @dataclass(frozen=True)
@@ -396,7 +407,7 @@ def check_monotone(
     start: int,
     stop: int,
     direction: Direction,
-    **opts,
+    engine: Engine = DEFAULT_ENGINE,
 ) -> MonotonicityReport:
     """Scan ratio steps n = start..stop-2 against the claimed direction.
 
@@ -417,7 +428,7 @@ def check_monotone(
     def verdicts() -> Iterator[Verdict]:
         for n in range(start, stop - 1):
             comb = LogCombination.from_pairs(_window_pairs(n, [tuple(w) for w in windows]))
-            v = sign_of_log_combination(comb, **opts)
+            v = sign_of_log_combination(comb, engine)
             if v.ordering is Ordering.UNDECIDED:
                 undecided.append(n)
             elif v.ordering is not expected:
@@ -477,12 +488,12 @@ def combine_reports(parts: Seq[MonotonicityReport]) -> MonotonicityReport:
 
 
 def find_min_start(
-    spec: Sequence, horizon: int, direction: Direction, **opts
+    spec: Sequence, horizon: int, direction: Direction, engine: Engine = DEFAULT_ENGINE
 ) -> Optional[int]:
     """Smallest N with no violation for N <= n <= horizon-2, scanning from the
     sequence's first index; None when violations persist to the end.  The
     result is empirical up to the horizon, with no claim beyond it."""
-    report = check_monotone(spec, spec.domain_start, horizon, direction, **opts)
+    report = check_monotone(spec, spec.domain_start, horizon, direction, engine)
     return min_start_from_report(report)
 
 
@@ -496,7 +507,7 @@ def min_start_from_report(report: MonotonicityReport) -> Optional[int]:
 
 
 def ratio_table(
-    spec: Sequence, indices: Seq[int], bits: int = DEFAULT_START_BITS
+    spec: Sequence, indices: Seq[int], bits: int = DEFAULT_ENGINE.start_bits
 ) -> list[tuple[int, DyadicInterval]]:
     """Enclosures of ln r_n = (n ln a_{n+1} - (n+1) ln a_n) / (n(n+1)) at given indices."""
     _check_bits(bits)

@@ -16,12 +16,12 @@ irrational constants (gamma and the gap bound's g-terms, n!/e, 6e + 3) are
 pair products, powers and quotients.  A check decides on the integers and
 wraps each reported enclosure in a DyadicInterval once.
 
-Interval checks climb the same precision ladder as the ratio-step verdicts
-(start_bits, doubling up to cap_bits; a cap below the start is a ValueError)
-and stop at the first rung that decides them.  Every CheckResult carries a
-MethodStats record of the verdicts behind it: one interval verdict for a
-single-ladder check, every verdict reached for a window or a range.  The
-record is not part of the JSON document; the CLI sums it into `stats`.
+Every check takes one Engine.  Interval checks climb the same precision
+ladder as the ratio-step verdicts (Engine.rungs: start_bits, doubling up to
+cap_bits) and stop at the first rung that decides them.  Every CheckResult
+carries a MethodStats record of the verdicts behind it: one interval verdict
+for a single-ladder check, every verdict reached for a window or a range.
+The record is not part of the JSON document; the CLI sums it into `stats`.
 """
 
 from __future__ import annotations
@@ -34,14 +34,12 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .compare import (
-    DEFAULT_CAP_BITS,
-    DEFAULT_EXACT_BUDGET,
-    DEFAULT_START_BITS,
+    DEFAULT_ENGINE,
+    Engine,
     LogCombination,
     MethodStats,
     Verdict,
     _combination_fixed,
-    _ladder,
     cmp_roots,
     evaluate_combination,
     ratio_step_combination,
@@ -122,10 +120,9 @@ def _ladder_stats(bits: int, escalations: int, undecided: bool) -> MethodStats:
 
 
 def _certify(name: str, witness: Optional[dict],
-             judge: Callable[[int], tuple[bool, bool, dict]],
-             start_bits: int, cap_bits: int) -> CheckResult:
+             judge: Callable[[int], tuple[bool, bool, dict]], engine: Engine) -> CheckResult:
     # judge(bits) -> (certified, refuted, detail); the last rung run decides
-    for escalations, bits in enumerate(_ladder(start_bits, cap_bits)):
+    for escalations, bits in enumerate(engine.rungs):
         certified, refuted, detail = judge(bits)
         if certified or refuted:
             break
@@ -138,14 +135,13 @@ def _certify(name: str, witness: Optional[dict],
 
 
 def _strict_sign_check(name: str, witness: Optional[dict],
-                       margin_at: Callable[[int], DyadicInterval],
-                       start_bits: int, cap_bits: int) -> CheckResult:
+                       margin_at: Callable[[int], DyadicInterval], engine: Engine) -> CheckResult:
     # Certified iff the margin is strictly positive; Refuted iff strictly negative.
     def judge(bits: int) -> tuple[bool, bool, dict]:
         m = margin_at(bits)
         return m.strictly_positive(), m.strictly_negative(), {"margin": _ivf(m)}
 
-    return _certify(name, witness, judge, start_bits, cap_bits)
+    return _certify(name, witness, judge, engine)
 
 
 def _verdict_run(
@@ -178,21 +174,19 @@ def _verdict_run(
 # constants
 
 
-def check_log5_positive(start_bits: int = DEFAULT_START_BITS,
-                        cap_bits: int = DEFAULT_CAP_BITS) -> CheckResult:
+def check_log5_positive(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """ln 5 - 1 > 0."""
     comb = LogCombination.from_pairs([(1, 5)])
     return _strict_sign_check(
         "log5-minus-one-positive", None,
-        lambda bits: evaluate_combination(comb, bits, -1), start_bits, cap_bits,
+        lambda bits: evaluate_combination(comb, bits, -1), engine,
     )
 
 
 _GAMMA_BAND = (Fraction(-3825, 10000), Fraction(-3815, 10000))
 
 
-def check_fibonacci_gamma_band(start_bits: int = DEFAULT_START_BITS,
-                               cap_bits: int = DEFAULT_CAP_BITS) -> CheckResult:
+def check_fibonacci_gamma_band(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """The Fibonacci root ratio gamma lies in [-0.3825, -0.3815]."""
     lo_band, hi_band = _GAMMA_BAND
 
@@ -201,11 +195,10 @@ def check_fibonacci_gamma_band(start_bits: int = DEFAULT_START_BITS,
         lo, hi = g.lo.as_fraction(), g.hi.as_fraction()
         return lo >= lo_band and hi <= hi_band, hi < lo_band or lo > hi_band, {"gamma": _ivf(g)}
 
-    return _certify("fibonacci-gamma-band", None, judge, start_bits, cap_bits)
+    return _certify("fibonacci-gamma-band", None, judge, engine)
 
 
-def check_gamma_sixth_power(start_bits: int = DEFAULT_START_BITS,
-                            cap_bits: int = DEFAULT_CAP_BITS) -> CheckResult:
+def check_gamma_sixth_power(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """|gamma|^6 * 7 * 8 < 1/3 for the Fibonacci recurrence."""
 
     def margin(bits: int) -> DyadicInterval:
@@ -214,16 +207,16 @@ def check_gamma_sixth_power(start_bits: int = DEFAULT_START_BITS,
         p_lo, p_hi = _pow_fixed(g, 6, eff)
         return _fixed_interval(third_lo - 56 * p_hi, third_hi - 56 * p_lo, eff)
 
-    return _strict_sign_check("gamma-sixth-power-bound", None, margin, start_bits, cap_bits)
+    return _strict_sign_check("gamma-sixth-power-bound", None, margin, engine)
 
 
-def check_fibonacci_early_steps(**opts) -> CheckResult:
+def check_fibonacci_early_steps(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """The Fibonacci ratio steps at n = 4 and n = 5 are both decreasing."""
     fib = Lucas(1, -1)
     verdicts = []
     status, witness = CheckStatus.CERTIFIED, None
     for n in (4, 5):
-        v = ratio_step_verdict(fib, n, **opts)
+        v = ratio_step_verdict(fib, n, engine)
         verdicts.append(v)
         if v.ordering is Ordering.UNDECIDED:
             status = CheckStatus.UNDECIDED
@@ -242,8 +235,7 @@ def check_lucas_gap_bound(
     a: int,
     b: int,
     n: int,
-    start_bits: int = DEFAULT_START_BITS,
-    cap_bits: int = DEFAULT_CAP_BITS,
+    engine: Engine = DEFAULT_ENGINE,
     allow_unit_discriminant: bool = False,
 ) -> CheckResult:
     """Instance of the cleared-gap lower bound for two-term recurrences:
@@ -282,19 +274,14 @@ def check_lucas_gap_bound(
         return _fixed_interval(lhs[0] - rhs[1], lhs[1] - rhs[0], eff)
 
     out = _strict_sign_check(
-        f"lucas-gap-bound({a},{b},n={n})", {"a": a, "b": b, "n": n},
-        margin, start_bits, cap_bits,
+        f"lucas-gap-bound({a},{b},n={n})", {"a": a, "b": b, "n": n}, margin, engine,
     )
     out.detail.update(sides)
     return out
 
 
 def check_unit_discriminant_tail(
-    a: int,
-    b: int,
-    n: int,
-    start_bits: int = DEFAULT_START_BITS,
-    cap_bits: int = DEFAULT_CAP_BITS,
+    a: int, b: int, n: int, engine: Engine = DEFAULT_ENGINE
 ) -> CheckResult:
     """For unit-discriminant recurrences, certifies Delta_n > w_n > 0, where
 
@@ -325,8 +312,7 @@ def check_unit_discriminant_tail(
     comb = ratio_step_combination(Lucas(a, b), n)
     d = n * (n + 1) * (n + 2)
     out = _strict_sign_check(
-        name, witness, lambda bits: evaluate_combination(comb, bits, -d * w, d),
-        start_bits, cap_bits,
+        name, witness, lambda bits: evaluate_combination(comb, bits, -d * w, d), engine,
     )
     out.detail["w_n"] = [float(w), float(w)]
     return out
@@ -336,19 +322,17 @@ def check_unit_discriminant_tail(
 # derangement bounds
 
 
-def check_derangement_window(**opts) -> CheckResult:
+def check_derangement_window(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """Ratio steps of the derangement numbers are decreasing for 3 <= n <= 26."""
     seq = Derangement()
     return _verdict_run(
         "derangement-window",
-        (({"n": n}, ratio_step_verdict(seq, n, **opts)) for n in range(3, 27)),
+        (({"n": n}, ratio_step_verdict(seq, n, engine)) for n in range(3, 27)),
         Ordering.GREATER, {"range": [3, 26]},
     )
 
 
-def check_derangement_offset(
-    n: int, start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS
-) -> CheckResult:
+def check_derangement_offset(n: int, engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """|D_n - n!/e| <= 1/2 and |ln D_n - ln n!| <= 1.5."""
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
@@ -369,12 +353,10 @@ def check_derangement_offset(
              "abs_log_offset": _ivf(_fixed_interval(*offs, bits))},
         )
 
-    return _certify(f"derangement-offset(n={n})", {"n": n}, judge, start_bits, cap_bits)
+    return _certify(f"derangement-offset(n={n})", {"n": n}, judge, engine)
 
 
-def check_offset_second_difference(
-    n: int, start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS
-) -> CheckResult:
+def check_offset_second_difference(n: int, engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """|n(n-1)(n+1) * second difference of (ln D_k - ln k!)/k| <= 6e + 3.
 
     The weighted second difference clears to integer coefficients:
@@ -398,12 +380,10 @@ def check_offset_second_difference(
             "abs_value": _ivf(_fixed_interval(*mag, bits)),
             "bound": _ivf(_fixed_interval(*bound, bits))}
 
-    return _certify(f"offset-second-difference(n={n})", {"n": n}, judge, start_bits, cap_bits)
+    return _certify(f"offset-second-difference(n={n})", {"n": n}, judge, engine)
 
 
-def check_stirling_remainder(
-    n: int, start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS
-) -> CheckResult:
+def check_stirling_remainder(n: int, engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """|ln n! - n ln n + n| < ln n + 1."""
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
@@ -417,16 +397,14 @@ def check_stirling_remainder(
             "abs_value": _ivf(_fixed_interval(*r2, bits)),
             "bound": _ivf(_fixed_interval(*bound, bits))}
 
-    return _certify(f"stirling-remainder(n={n})", {"n": n}, judge, start_bits, cap_bits)
+    return _certify(f"stirling-remainder(n={n})", {"n": n}, judge, engine)
 
 
 # ---------------------------------------------------------------------------
 # logarithm and harmonic inequalities
 
 
-def check_log_quadratic_bound(
-    x: Fraction, start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS
-) -> CheckResult:
+def check_log_quadratic_bound(x: Fraction, engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """ln(1+x) > x - x^2/2 for x > 0."""
     xf = Fraction(x)
     if xf <= 0:
@@ -434,13 +412,11 @@ def check_log_quadratic_bound(
     comb = LogCombination.from_pairs([(1, 1 + xf)])
     return _strict_sign_check(
         f"log-quadratic-lower(x={xf})", {"x": str(xf)},
-        lambda bits: evaluate_combination(comb, bits, xf * xf / 2 - xf), start_bits, cap_bits,
+        lambda bits: evaluate_combination(comb, bits, xf * xf / 2 - xf), engine,
     )
 
 
-def check_harmonic_xlogx(
-    m: int, n: int, start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS
-) -> CheckResult:
+def check_harmonic_xlogx(m: int, n: int, engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """H log H > 4*(2/(n+2))**(m-1) for H the order-m harmonic number at n.
 
     Since H > 0 this is decided, and its margin reported, as
@@ -456,15 +432,15 @@ def check_harmonic_xlogx(
     return _strict_sign_check(
         f"harmonic-xlogx(m={m},n={n})",
         {"m": m, "n": n, "in_hypothesis": m >= 11 or n >= 30},
-        lambda bits: evaluate_combination(comb, bits, -rhs / h), start_bits, cap_bits,
+        lambda bits: evaluate_combination(comb, bits, -rhs / h), engine,
     )
 
 
-def check_harmonic_window(**opts) -> CheckResult:
+def check_harmonic_window(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """Harmonic ratio steps are increasing for every m in 1..10, n in 3..29."""
     return _verdict_run(
         "harmonic-window",
-        (({"m": m, "n": n}, ratio_step_verdict(Harmonic(m), n, **opts))
+        (({"m": m, "n": n}, ratio_step_verdict(Harmonic(m), n, engine))
          for m in range(1, 11) for n in range(3, 30)),
         Ordering.LESS, {"grid": "m=1..10, n=3..29"},
     )
@@ -474,12 +450,12 @@ def check_harmonic_window(**opts) -> CheckResult:
 # prime root inequalities
 
 
-def check_firoozbakht(n: int, **opts) -> CheckResult:
+def check_firoozbakht(n: int, engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """n-th root of p_n strictly exceeds the (n+1)-th root of p_{n+1}."""
     if n < 1:
         raise ValueError(f"needs n >= 1, got {n}")
     p, p_next = nth_prime(n), nth_prime(n + 1)
-    v = cmp_roots(Fraction(p), n, Fraction(p_next), **opts)
+    v = cmp_roots(Fraction(p), n, Fraction(p_next), engine)
     detail = {"p_n": p, "p_next": p_next, **v.to_json()}
     status = (CheckStatus.CERTIFIED if v.ordering is Ordering.LESS
               else CheckStatus.UNDECIDED if v.ordering is Ordering.UNDECIDED
@@ -487,9 +463,7 @@ def check_firoozbakht(n: int, **opts) -> CheckResult:
     return CheckResult(f"firoozbakht(n={n})", status, {"n": n}, detail, MethodStats.of((v,)))
 
 
-def check_prime_ratio_refinement(
-    n: int, start_bits: int = DEFAULT_START_BITS, cap_bits: int = DEFAULT_CAP_BITS
-) -> CheckResult:
+def check_prime_ratio_refinement(n: int, engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """p_{n+1}^{1/(n+1)} / p_n^{1/n} < 1 - ln(ln n)/(2n^2).
 
     The claim is stated for n > 4; smaller n (down to 3, where ln ln n > 0)
@@ -511,33 +485,30 @@ def check_prime_ratio_refinement(
         s_lo, s_hi = _combination_fixed(lhs, bits, 0, n * (n + 1))
         return _fixed_interval(r_lo - s_hi, r_hi - s_lo, bits)
 
-    return _strict_sign_check(
-        f"prime-ratio-refinement(n={n})", witness, margin, start_bits, cap_bits
-    )
+    return _strict_sign_check(f"prime-ratio-refinement(n={n})", witness, margin, engine)
 
 
-def check_firoozbakht_range(start: int, stop: int, **opts) -> CheckResult:
+def check_firoozbakht_range(start: int, stop: int,
+                            engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """Aggregate Firoozbakht instances for start <= n <= stop."""
     _ensure_prime_count(stop + 1)
     return _verdict_run(
         f"firoozbakht-range({start}..{stop})",
-        (({"n": n}, cmp_roots(Fraction(nth_prime(n)), n, Fraction(nth_prime(n + 1)), **opts))
+        (({"n": n}, cmp_roots(Fraction(nth_prime(n)), n, Fraction(nth_prime(n + 1)), engine))
          for n in range(start, stop + 1)),
         Ordering.LESS, {"range": [start, stop]},
     )
 
 
-def check_prime_ratio_range(
-    start: int, stop: int, start_bits: int = DEFAULT_START_BITS,
-    cap_bits: int = DEFAULT_CAP_BITS,
-) -> CheckResult:
+def check_prime_ratio_range(start: int, stop: int,
+                            engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """Aggregate refinement instances for start <= n <= stop."""
     if start < 3:
         raise ValueError(f"needs start >= 3, got {start}")
     _ensure_prime_count(stop + 1)
     return _aggregate_range(
         f"prime-ratio-range({start}..{stop})", check_prime_ratio_refinement,
-        range(start, stop + 1), start_bits, cap_bits, range=[start, stop],
+        range(start, stop + 1), engine, range=[start, stop],
     )
 
 
@@ -545,21 +516,14 @@ def check_prime_ratio_range(
 # suites
 
 
-def constants_suite(
-    *,
-    start_bits: int = DEFAULT_START_BITS,
-    cap_bits: int = DEFAULT_CAP_BITS,
-    exact_budget: int = DEFAULT_EXACT_BUDGET,
-) -> list[CheckResult]:
+def constants_suite(engine: Engine = DEFAULT_ENGINE) -> list[CheckResult]:
     """The named constant inequalities, all expected Certified."""
     return [
-        check_log5_positive(start_bits, cap_bits),
-        check_fibonacci_gamma_band(start_bits, cap_bits),
-        check_gamma_sixth_power(start_bits, cap_bits),
-        check_fibonacci_early_steps(
-            start_bits=start_bits, cap_bits=cap_bits, exact_budget=exact_budget
-        ),
-        check_harmonic_xlogx(1, 30, start_bits, cap_bits),
+        check_log5_positive(engine),
+        check_fibonacci_gamma_band(engine),
+        check_gamma_sixth_power(engine),
+        check_fibonacci_early_steps(engine),
+        check_harmonic_xlogx(1, 30, engine),
     ]
 
 
@@ -568,61 +532,56 @@ def paper_suite(
     prime_horizon: int = 2000,
     offset_max: int = 60,
     stirling_max: int = 100,
-    start_bits: int = DEFAULT_START_BITS,
-    cap_bits: int = DEFAULT_CAP_BITS,
-    exact_budget: int = DEFAULT_EXACT_BUDGET,
+    engine: Engine = DEFAULT_ENGINE,
 ) -> list[CheckResult]:
     """Every named check over its claimed region, sized for an interactive run.
 
-    start_bits, cap_bits and exact_budget reach every check.
+    The engine reaches every check.
     """
-    opts = {"start_bits": start_bits, "cap_bits": cap_bits, "exact_budget": exact_budget}
-    bits = (start_bits, cap_bits)
-    results = constants_suite(**opts)
+    results = constants_suite(engine)
     results.extend(
-        check_lucas_gap_bound(a, b, n, *bits)
+        check_lucas_gap_bound(a, b, n, engine)
         for (a, b, n) in ((1, -1, 4), (1, -1, 6), (2, -1, 10))
     )
     results.extend(
-        check_unit_discriminant_tail(a, b, n, *bits)
+        check_unit_discriminant_tail(a, b, n, engine)
         for (a, b, n) in ((3, 2, 50), (5, 6, 20))
     )
-    results.append(check_derangement_window(**opts))
+    results.append(check_derangement_window(engine))
     results.append(_aggregate_range(
-        "derangement-offset-range", check_derangement_offset, range(2, offset_max + 1), *bits
+        "derangement-offset-range", check_derangement_offset, range(2, offset_max + 1), engine
     ))
     results.append(_aggregate_range(
         "offset-second-difference-range", check_offset_second_difference,
-        range(3, offset_max + 1), *bits,
+        range(3, offset_max + 1), engine,
     ))
     results.append(_aggregate_range(
-        "stirling-remainder-range", check_stirling_remainder, range(2, stirling_max + 1), *bits
+        "stirling-remainder-range", check_stirling_remainder, range(2, stirling_max + 1), engine
     ))
     results.extend(
-        check_log_quadratic_bound(x, *bits)
+        check_log_quadratic_bound(x, engine)
         for x in (Fraction(1), Fraction(1, 1000), Fraction(10))
     )
     # (m=1, n=30) already appears in the constants suite above
-    results.append(check_harmonic_xlogx(11, 3, *bits))
-    results.append(check_harmonic_window(**opts))
-    results.append(check_firoozbakht_range(1, prime_horizon, **opts))
-    results.append(check_prime_ratio_range(5, prime_horizon, *bits))
+    results.append(check_harmonic_xlogx(11, 3, engine))
+    results.append(check_harmonic_window(engine))
+    results.append(check_firoozbakht_range(1, prime_horizon, engine))
+    results.append(check_prime_ratio_range(5, prime_horizon, engine))
     return results
 
 
 def _aggregate_range(
     name: str,
-    check: Callable[[int, int, int], CheckResult],
+    check: Callable[[int, Engine], CheckResult],
     ns: Iterable[int],
-    start_bits: int,
-    cap_bits: int,
+    engine: Engine,
     **region,
 ) -> CheckResult:
     # Certified iff check(n) is for every n; the first other result ends the run
     stats = MethodStats()
     checked = 0
     for n in ns:
-        out = check(n, start_bits, cap_bits)
+        out = check(n, engine)
         checked += 1
         stats = stats.merged(out.stats)
         if out.status is not CheckStatus.CERTIFIED:

@@ -19,6 +19,7 @@ import mpmath
 from ratiocert.cli import main
 from ratiocert.compare import (
     Direction,
+    Engine,
     Method,
     Ordering,
     check_monotone,
@@ -281,11 +282,11 @@ def test_criterion_10_oracle_equivalence():
     ]
     mismatches = []
     stray_equal = []
-    exact_opts = dict(mode="exact", exact_budget=1 << 62)
+    exact_engine = Engine(exact_budget=1 << 62, mode="exact")
     for seq in builtins:
         for n in range(seq.domain_start, 61):
-            ladder = ratio_step_verdict(seq, n, mode="interval")
-            exact = ratio_step_verdict(seq, n, **exact_opts)
+            ladder = ratio_step_verdict(seq, n, Engine(mode="interval"))
+            exact = ratio_step_verdict(seq, n, exact_engine)
             if ladder.ordering is not exact.ordering:
                 mismatches.append((seq.name, n, ladder.ordering, exact.ordering))
             if exact.ordering is Ordering.EQUAL:
@@ -294,7 +295,7 @@ def test_criterion_10_oracle_equivalence():
     for c in (2, 5):
         for n in range(1, 11):
             v = ratio_step_verdict(Geometric(c), n)
-            w = ratio_step_verdict(Geometric(c), n, **exact_opts)
+            w = ratio_step_verdict(Geometric(c), n, exact_engine)
             geo_ok = geo_ok and (
                 v.ordering is Ordering.EQUAL
                 and w.ordering is Ordering.EQUAL

@@ -96,6 +96,31 @@ class TestExitCodes:
         assert main(["check", "--seq", "fibonacci", "--from", "4", "--to", "10",
                      "--direction", "decreasing", flag, value]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [
+        ["--start-bits", "0"], ["--start-bits", "256", "--precision-cap", "128"],
+        ["--exact-budget", "-1"], ["--precision-cap", "64"],
+    ])
+    def test_bad_engine_values_name_their_flags(self, capsys, flags):
+        assert main(["check", "--seq", "fibonacci", "--from", "4", "--to", "10",
+                     "--direction", "decreasing", *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        for flag in flags[::2]:
+            assert flag in err, (flags, err)
+
+    def test_removed_sequence_flags_are_usage_errors(self):
+        # --seq is the one sequence grammar; these flags were once ignored
+        for flags in (["--seq", "fibonacci", "--m", "3"],
+                      ["--seq", "lucas:3,2", "--A", "5", "--B", "6"],
+                      ["--seq", "product", "--left", "fibonacci", "--right", "primes"]):
+            assert main(["check", *flags, "--from", "4", "--to", "10",
+                         "--direction", "decreasing"]) == EXIT_USAGE, flags
+
+    @pytest.mark.parametrize("flags", [
+        ["--from", "3", "--to", "9"], ["--step", "3"], ["--to", "9"],
+    ])
+    def test_table_indices_exclude_range_flags(self, flags):
+        assert main(["table", "--seq", "fibonacci", "--indices", "5,6", *flags]) == EXIT_USAGE
+
     def test_zero_exact_budget_is_honoured(self, capsys):
         code, doc = run_json(
             capsys,

@@ -4,6 +4,7 @@ The exact cross-power comparison doubles as the oracle for every interval
 verdict, so the two paths are continuously checked against each other.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,15 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratiocert.compare import (
-    DEFAULT_CAP_BITS,
-    DEFAULT_START_BITS,
+    DEFAULT_ENGINE,
     Direction,
+    Engine,
     LogCombination,
     LogTerm,
     Method,
     MethodStats,
     Verdict,
-    _ladder,
     check_monotone,
     cmp_roots,
     combine_reports,
@@ -140,7 +140,7 @@ class TestSignOfLogCombination:
 
     def test_exact_mode_over_budget_is_undecided(self):
         comb = LogCombination.from_pairs([(10**6, Fraction(3)), (-1, Fraction(2))])
-        v = sign_of_log_combination(comb, mode="exact", exact_budget=1000)
+        v = sign_of_log_combination(comb, Engine(exact_budget=1000, mode="exact"))
         assert v.ordering is Ordering.UNDECIDED
         assert estimate_exact_bits(comb) > 1000
 
@@ -150,7 +150,7 @@ class TestSignOfLogCombination:
         comb = LogCombination.from_pairs(
             [(1, Fraction(big + 1, big)), (-1, Fraction(2 * big + 1, 2 * big))]
         )
-        v = sign_of_log_combination(comb, mode="interval", cap_bits=512)
+        v = sign_of_log_combination(comb, Engine(cap_bits=512, mode="interval"))
         assert v.ordering is Ordering.UNDECIDED
         assert v.method is Method.INTERVAL
 
@@ -159,7 +159,7 @@ class TestSignOfLogCombination:
         comb = LogCombination.from_pairs(
             [(1, Fraction(big + 1, big)), (-1, Fraction(2 * big + 1, 2 * big))]
         )
-        v = sign_of_log_combination(comb, start_bits=16, exact_budget=0)
+        v = sign_of_log_combination(comb, Engine(start_bits=16, exact_budget=0))
         assert v.ordering is Ordering.GREATER
         assert v.method is Method.INTERVAL and v.escalations > 0
 
@@ -186,7 +186,7 @@ class TestSignOfLogCombination:
         comb = LogCombination.from_pairs(
             [(1, Fraction(big + 1, big)), (-1, Fraction(2 * big + 1, 2 * big))]
         )
-        v = sign_of_log_combination(comb, cap_bits=1024, exact_budget=0)
+        v = sign_of_log_combination(comb, Engine(cap_bits=1024, exact_budget=0))
         assert v.ordering is Ordering.UNDECIDED
 
     @given(
@@ -208,12 +208,26 @@ class TestSignOfLogCombination:
         assert v.ordering is brute_sign(comb)
 
     def test_ladder_doubles_up_to_the_cap(self):
-        assert _ladder(128, 1000) == (128, 256, 512, 1000)
-        assert _ladder(128, 128) == (128,)
+        assert Engine(128, 1000).rungs == (128, 256, 512, 1000)
+        assert Engine(128, 128).rungs == (128,)
         with pytest.raises(ValueError):
-            _ladder(8, 128)
+            Engine(8, 128)
         with pytest.raises(ValueError):
-            _ladder(256, 128)
+            Engine(256, 128)
+
+    @pytest.mark.parametrize("settings", [
+        {"start_bits": 8}, {"start_bits": 256, "cap_bits": 128},
+        {"exact_budget": -1}, {"mode": "bogus"},
+    ])
+    def test_engine_rejects_bad_settings(self, settings):
+        with pytest.raises(ValueError):
+            Engine(**settings)
+
+    def test_engine_pickles_with_its_rungs(self):
+        # the process pool sends the engine to every worker
+        engine = Engine(64, 1000, 0, "interval")
+        copy = pickle.loads(pickle.dumps(engine))
+        assert copy == engine and copy.rungs == (64, 128, 256, 512, 1000)
 
     def test_result_serialization(self):
         v = sign_of_log_combination(
@@ -314,10 +328,10 @@ class TestRatioStep:
         for seq in sequences:
             for n in range(seq.domain_start, 61):
                 comb = ratio_step_combination(seq, n)
-                ladder = sign_of_log_combination(comb, mode="interval")
+                ladder = sign_of_log_combination(comb, Engine(mode="interval"))
                 adaptive = sign_of_log_combination(comb)
                 exact = sign_of_log_combination(
-                    comb, mode="exact", exact_budget=1 << 62
+                    comb, Engine(exact_budget=1 << 62, mode="exact")
                 )
                 assert exact.ordering is not Ordering.UNDECIDED
                 assert ladder.ordering is exact.ordering, (seq.name, n)
@@ -360,10 +374,10 @@ class TestCheckMonotone:
     def test_stats_tally_the_step_verdicts(self, cap):
         # lucas(3,2) steps lie about 2^-n from a tie: with the exact route
         # barred, a 128-bit cap leaves some undecided and 1024 bits escalates
-        opts = {"cap_bits": cap, "exact_budget": 0}
+        engine = Engine(cap_bits=cap, exact_budget=0)
         seq = Lucas(3, 2)
-        rep = check_monotone(seq, 100, 140, Direction.DECREASING, **opts)
-        verdicts = [ratio_step_verdict(seq, n, **opts) for n in range(100, 139)]
+        rep = check_monotone(seq, 100, 140, Direction.DECREASING, engine)
+        verdicts = [ratio_step_verdict(seq, n, engine) for n in range(100, 139)]
         assert rep.stats == MethodStats.of(verdicts)
         # an undecided interval verdict counts as interval and as undecided
         assert rep.stats.interval == 39
@@ -371,7 +385,7 @@ class TestCheckMonotone:
         assert (rep.stats.undecided > 0) == (cap == 128)
         for v in verdicts:
             assert v.method is Method.INTERVAL
-            assert v.bits == DEFAULT_START_BITS << v.escalations
+            assert v.bits == DEFAULT_ENGINE.start_bits << v.escalations
         assert (rep.stats.escalations > 0) == (cap > 128)
 
     def test_min_valid_start_consistency(self):
@@ -477,7 +491,7 @@ class TestVerdictInvariants:
             a = Fraction(rng.randint(2, 99), rng.randint(1, 99))
             b = Fraction(rng.randint(2, 99), rng.randint(1, 99))
             comb = LogCombination.from_pairs([(c, a), (-c - 1, b)])
-            iv = sign_of_log_combination(comb, mode="interval")
+            iv = sign_of_log_combination(comb, Engine(mode="interval"))
             ex = decide_exact(comb)
             if iv.ordering is not Ordering.UNDECIDED:
                 assert iv.ordering is ex
@@ -566,7 +580,7 @@ class TestEvaluateCombination:
         from ratiocert import numerics
 
         numerics._ln_fixed.cache_clear()
-        report = check_monotone(spec, start, stop, direction, mode="interval")
+        report = check_monotone(spec, start, stop, direction, Engine(mode="interval"))
         assert report.certified()
         assert report.stats.max_bits == 128 and report.stats.escalations == 0
         integers = set()

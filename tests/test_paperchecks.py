@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratiocert.compare import Engine
 from ratiocert.paperchecks import (
     CheckResult,
     CheckStatus,
@@ -54,9 +55,9 @@ class TestConstantsSuite:
 
     def test_cap_below_start_is_rejected(self):
         with pytest.raises(ValueError):
-            check_log5_positive(start_bits=256, cap_bits=128)
+            check_log5_positive(Engine(start_bits=256, cap_bits=128))
         with pytest.raises(ValueError):
-            check_derangement_offset(10, start_bits=256, cap_bits=128)
+            check_derangement_offset(10, Engine(start_bits=256, cap_bits=128))
 
     def test_suite_is_all_certified(self):
         results = constants_suite()
@@ -242,7 +243,7 @@ class TestSuite:
     def test_tight_cap_goes_undecided_not_wrong(self):
         # the offset margin near n = 60 needs ~400 bits, far beyond this cap
         results = paper_suite(
-            prime_horizon=300, offset_max=60, stirling_max=40, cap_bits=128
+            prime_horizon=300, offset_max=60, stirling_max=40, engine=Engine(cap_bits=128)
         )
         statuses = {r.status for r in results}
         assert CheckStatus.REFUTED not in statuses
@@ -302,7 +303,7 @@ class TestMarginsAgainstMpmath:
 
         with mpmath.workprec(1024):
             truth = oracle(mpmath.mp)
-        out = check(*args, start_bits=start_bits)
+        out = check(*args, engine=Engine(start_bits=start_bits))
         assert out.detail["bits"] == start_bits
         lo, hi = out.detail["margin"]
         slack = 4 * 2.0**-53 * max(abs(lo), abs(hi))
