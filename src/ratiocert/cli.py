@@ -114,7 +114,6 @@ def parse_sequence_token(text: str) -> Sequence:
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     fmt: str
     out: Optional[str]
     engine: Engine
@@ -163,8 +162,8 @@ def _engine(args: argparse.Namespace) -> Engine:
         raise UsageError(message) from exc
 
 
-def _config(args: argparse.Namespace, command: str, **extra) -> RunConfig:
-    return RunConfig(command, args.format, args.out, _engine(args),
+def _config(args: argparse.Namespace, **extra) -> RunConfig:
+    return RunConfig(args.format, args.out, _engine(args),
                      getattr(args, "jobs", 1), extra)
 
 
@@ -241,10 +240,7 @@ def _stats_line(stats: MethodStats) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     seq = parse_sequence_token(args.seq)
-    cfg = _config(
-        args, "check",
-        seq=seq.name, start=args.start, stop=args.stop, direction=args.direction,
-    )
+    cfg = _config(args, seq=seq.name, start=args.start, stop=args.stop, direction=args.direction)
     if args.start < seq.domain_start:
         raise UsageError(
             f"--from {args.start} is below the first index {seq.domain_start} of {seq.name}"
@@ -292,9 +288,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_find_start(args: argparse.Namespace) -> int:
     seq = parse_sequence_token(args.seq)
-    cfg = _config(
-        args, "find-start", seq=seq.name, horizon=args.horizon, direction=args.direction,
-    )
+    cfg = _config(args, seq=seq.name, horizon=args.horizon, direction=args.direction)
     if args.horizon < seq.domain_start + 2:
         raise UsageError(f"--horizon must be at least {seq.domain_start + 2}")
     t0 = time.perf_counter()
@@ -341,11 +335,8 @@ def cmd_find_start(args: argparse.Namespace) -> int:
 
 
 def cmd_paper_suite(args: argparse.Namespace) -> int:
-    cfg = _config(
-        args, "paper-suite",
-        prime_horizon=args.prime_horizon, offset_max=args.offset_max,
-        stirling_max=args.stirling_max,
-    )
+    cfg = _config(args, prime_horizon=args.prime_horizon, offset_max=args.offset_max,
+                  stirling_max=args.stirling_max)
     t0 = time.perf_counter()
     checks = paper_suite(
         prime_horizon=args.prime_horizon,
@@ -402,7 +393,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise UsageError("empty index list")
     if min(indices) < seq.domain_start:
         raise UsageError(f"indices must be >= {seq.domain_start} for {seq.name}")
-    cfg = _config(args, "table", seq=seq.name, indices=indices, bits=args.bits)
+    cfg = _config(args, seq=seq.name, indices=indices, bits=args.bits)
     t0 = time.perf_counter()
     rows = ratio_table(seq, indices, args.bits)
     wall_ms = int((time.perf_counter() - t0) * 1000)

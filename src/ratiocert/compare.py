@@ -1,7 +1,9 @@
 """Certified sign decisions for integer combinations of logarithms.
 
-The object decided here is S = sum_i c_i * ln(x_i) with integer c_i and
-positive rational x_i.  Three routes exist:
+The object decided here is S = sum_i c_i * ln(x_i) with nonzero integer c_i
+and positive exact x_i, each an int or a Fraction; a LogCombination holds
+the (c_i, x_i) pairs.  Integer sequences give int terms, so a scan of one
+builds no Fraction.  Three routes exist:
 
 * interval ladder: evaluate S with outward-rounded enclosures at 128 bits,
   doubling the precision until the enclosure excludes zero or a cap is hit;
@@ -114,6 +116,10 @@ class Engine:
         if not isinstance(self.start_bits, int) or self.start_bits < MIN_PRECISION_BITS:
             raise ValueError(
                 f"start_bits must be an int >= {MIN_PRECISION_BITS}, got {self.start_bits!r}")
+        for name in ("cap_bits", "exact_budget"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.cap_bits < self.start_bits:
             raise ValueError(f"cap_bits {self.cap_bits} is below start_bits {self.start_bits}")
         if self.exact_budget < 0:
@@ -130,34 +136,31 @@ DEFAULT_ENGINE = Engine()
 
 
 @dataclass(frozen=True)
-class LogTerm:
-    coefficient: int
-    base: Fraction
+class LogCombination:
+    """Sum of c * ln(x) over the (c, x) pairs in `terms`: each c a nonzero
+    int, each x a positive int or Fraction."""
+
+    terms: tuple[tuple[int, int | Fraction], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coefficient, int) or self.coefficient == 0:
-            raise ValueError(f"coefficient must be a nonzero integer, got {self.coefficient!r}")
-        b = Fraction(self.base)
-        if b <= 0:
-            raise ValueError(f"log base must be positive, got {b}")
-        object.__setattr__(self, "base", b)
-
-
-@dataclass(frozen=True)
-class LogCombination:
-    """Integer-weighted sum of logs of positive rationals."""
-
-    terms: tuple[LogTerm, ...]
+        for c, x in self.terms:
+            if not isinstance(c, int) or c == 0:
+                raise ValueError(f"coefficient must be a nonzero integer, got {c!r}")
+            if not isinstance(x, (int, Fraction)) or x <= 0:
+                raise ValueError(f"log base must be a positive int or Fraction, got {x!r}")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, Fraction]]) -> "LogCombination":
-        """Build from (coefficient, base) pairs, merging repeated bases and
-        dropping terms whose merged coefficient vanishes."""
-        merged: dict[Fraction, int] = {}
-        for c, base in pairs:
-            b = Fraction(base)
-            merged[b] = merged.get(b, 0) + c
-        return cls(tuple(LogTerm(c, b) for b, c in merged.items() if c != 0))
+    def from_pairs(cls, pairs: Iterable[tuple[int, object]]) -> "LogCombination":
+        """Build from (coefficient, base) pairs, merging repeated bases (an int
+        and an equal Fraction are one base) and dropping terms whose merged
+        coefficient vanishes.  A base other than an int or a Fraction is
+        converted by Fraction(base)."""
+        merged: dict[int | Fraction, int] = {}
+        for c, x in pairs:
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            merged[x] = merged.get(x, 0) + c
+        return cls(tuple((c, x) for x, c in merged.items() if c != 0))
 
 
 @dataclass(frozen=True)
@@ -181,9 +184,8 @@ class Verdict:
 def estimate_exact_bits(comb: LogCombination) -> int:
     """Upper estimate of the bit size of the exact cross-power comparison."""
     return sum(
-        abs(t.coefficient)
-        * (t.base.numerator.bit_length() + t.base.denominator.bit_length())
-        for t in comb.terms
+        abs(c) * (x.numerator.bit_length() + x.denominator.bit_length())
+        for c, x in comb.terms
     )
 
 
@@ -191,9 +193,8 @@ def decide_exact(comb: LogCombination) -> Ordering:
     """Sign of the combination by comparing exact integer cross-powers."""
     lhs = 1
     rhs = 1
-    for t in comb.terms:
-        c = t.coefficient
-        num, den = t.base.numerator, t.base.denominator
+    for c, x in comb.terms:
+        num, den = x.numerator, x.denominator
         if c > 0:
             lhs *= num**c
             rhs *= den**c
@@ -221,9 +222,8 @@ def _combination_fixed(comb: LogCombination, bits: int, offset=0, divisor: int =
                        ) -> tuple[int, int]:
     # (sum c_i ln(x_i) + offset) / divisor as [lo, hi] * 2**-w, w = bits + 8
     lo = hi = 0
-    for t in comb.terms:
-        c = t.coefficient
-        t_lo, t_hi = _ln_exact(t.base, bits)
+    for c, x in comb.terms:
+        t_lo, t_hi = _ln_exact(x, bits)
         if c > 0:
             lo += c * t_lo
             hi += c * t_hi
@@ -284,7 +284,7 @@ def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGIN
     return Verdict(Ordering.UNDECIDED, Method.INTERVAL, bits, i)
 
 
-def cmp_roots(a_lo: Fraction, n: int, a_hi: Fraction,
+def cmp_roots(a_lo: int | Fraction, n: int, a_hi: int | Fraction,
               engine: Engine = DEFAULT_ENGINE) -> Verdict:
     """Ordering of a_hi**(1/(n+1)) versus a_lo**(1/n).
 
@@ -293,7 +293,7 @@ def cmp_roots(a_lo: Fraction, n: int, a_hi: Fraction,
     """
     if n < 1:
         raise ValueError(f"root index must be >= 1, got {n}")
-    comb = LogCombination.from_pairs([(n, Fraction(a_hi)), (-(n + 1), Fraction(a_lo))])
+    comb = LogCombination.from_pairs([(n, a_hi), (-(n + 1), a_lo)])
     return sign_of_log_combination(comb, engine)
 
 
@@ -312,7 +312,7 @@ def _leaf_sequences(spec: Sequence) -> list[Sequence]:
     return [spec]
 
 
-def _window_pairs(n: int, windows: Iterable[tuple[Fraction, Fraction, Fraction]]):
+def _window_pairs(n: int, windows: Iterable[Iterable[int | Fraction]]):
     c1, c0, c2 = _ratio_coefficients(n)
     for a0, a1, a2 in windows:
         yield (c1, a1)
@@ -420,14 +420,14 @@ def check_monotone(
         raise ValueError(f"scan needs stop >= start + 2, got [{start}, {stop}]")
     expected = Ordering.GREATER if direction is Direction.DECREASING else Ordering.LESS
     leaves = _leaf_sequences(spec)
-    iters: list[Iterator[Fraction]] = [leaf.terms(start, stop) for leaf in leaves]
+    iters: list[Iterator[int | Fraction]] = [leaf.terms(start, stop) for leaf in leaves]
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
     violations: list[int] = []
     undecided: list[int] = []
 
     def verdicts() -> Iterator[Verdict]:
         for n in range(start, stop - 1):
-            comb = LogCombination.from_pairs(_window_pairs(n, [tuple(w) for w in windows]))
+            comb = LogCombination.from_pairs(_window_pairs(n, windows))
             v = sign_of_log_combination(comb, engine)
             if v.ordering is Ordering.UNDECIDED:
                 undecided.append(n)

@@ -455,7 +455,7 @@ def check_firoozbakht(n: int, engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     if n < 1:
         raise ValueError(f"needs n >= 1, got {n}")
     p, p_next = nth_prime(n), nth_prime(n + 1)
-    v = cmp_roots(Fraction(p), n, Fraction(p_next), engine)
+    v = cmp_roots(p, n, p_next, engine)
     detail = {"p_n": p, "p_next": p_next, **v.to_json()}
     status = (CheckStatus.CERTIFIED if v.ordering is Ordering.LESS
               else CheckStatus.UNDECIDED if v.ordering is Ordering.UNDECIDED
@@ -494,7 +494,7 @@ def check_firoozbakht_range(start: int, stop: int,
     _ensure_prime_count(stop + 1)
     return _verdict_run(
         f"firoozbakht-range({start}..{stop})",
-        (({"n": n}, cmp_roots(Fraction(nth_prime(n)), n, Fraction(nth_prime(n + 1)), engine))
+        (({"n": n}, cmp_roots(nth_prime(n), n, nth_prime(n + 1), engine))
          for n in range(start, stop + 1)),
         Ordering.LESS, {"range": [start, stop]},
     )

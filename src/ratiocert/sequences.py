@@ -209,7 +209,7 @@ class Sequence:
     def name(self) -> str:
         raise NotImplementedError
 
-    def term(self, n: int) -> Fraction:
+    def term(self, n: int) -> int | Fraction:
         raise NotImplementedError
 
     def _validate_index(self, n: int) -> None:
@@ -218,7 +218,7 @@ class Sequence:
                 f"{self.name} starts at index {self.domain_start}, got {n}"
             )
 
-    def terms(self, start: int, stop: int) -> Iterator[Fraction]:
+    def terms(self, start: int, stop: int) -> Iterator[int | Fraction]:
         """Yield terms for start <= n <= stop."""
         self._validate_index(start)
         for n in range(start, stop + 1):
@@ -239,15 +239,15 @@ class Lucas(Sequence):
             return "fibonacci"
         return f"lucas({self.a},{self.b})"
 
-    def term(self, n: int) -> Fraction:
+    def term(self, n: int) -> int:
         self._validate_index(n)
-        return Fraction(_lucas_pair(self.a, self.b, n)[0])
+        return _lucas_pair(self.a, self.b, n)[0]
 
-    def terms(self, start: int, stop: int) -> Iterator[Fraction]:
+    def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
         u, v = _lucas_pair(self.a, self.b, start)
         for _ in range(start, stop + 1):
-            yield Fraction(u)
+            yield u
             u, v = v, self.a * v - self.b * u
 
 
@@ -263,16 +263,16 @@ class Derangement(Sequence):
     def name(self) -> str:
         return "derangement"
 
-    def term(self, n: int) -> Fraction:
+    def term(self, n: int) -> int:
         self._validate_index(n)
-        return Fraction(derangement_term(n))
+        return derangement_term(n)
 
-    def terms(self, start: int, stop: int) -> Iterator[Fraction]:
+    def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
         d = derangement_term(start)
         sign = 1 if start % 2 == 0 else -1
         for n in range(start, stop + 1):
-            yield Fraction(d)
+            yield d
             sign = -sign
             d = (n + 1) * d + sign
 
@@ -307,15 +307,15 @@ class Primes(Sequence):
     def name(self) -> str:
         return "primes"
 
-    def term(self, n: int) -> Fraction:
+    def term(self, n: int) -> int:
         self._validate_index(n)
-        return Fraction(nth_prime(n))
+        return nth_prime(n)
 
-    def terms(self, start: int, stop: int) -> Iterator[Fraction]:
+    def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
         _ensure_prime_count(stop)
         for n in range(start, stop + 1):
-            yield Fraction(_PRIMES[n - 1])
+            yield _PRIMES[n - 1]
 
 
 @dataclass(frozen=True)
@@ -324,15 +324,15 @@ class SquarefreeSum(Sequence):
     def name(self) -> str:
         return "squarefree-sum"
 
-    def term(self, n: int) -> Fraction:
+    def term(self, n: int) -> int:
         self._validate_index(n)
-        return Fraction(squarefree_sum(n))
+        return squarefree_sum(n)
 
-    def terms(self, start: int, stop: int) -> Iterator[Fraction]:
+    def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
         _ensure_squarefree_count(stop)
         for n in range(start, stop + 1):
-            yield Fraction(_SF_SUMS[n])
+            yield _SF_SUMS[n]
 
 
 @dataclass(frozen=True)
@@ -348,11 +348,11 @@ class Product(Sequence):
     def name(self) -> str:
         return f"product({self.left.name},{self.right.name})"
 
-    def term(self, n: int) -> Fraction:
+    def term(self, n: int) -> int | Fraction:
         self._validate_index(n)
         return self.left.term(n) * self.right.term(n)
 
-    def terms(self, start: int, stop: int) -> Iterator[Fraction]:
+    def terms(self, start: int, stop: int) -> Iterator[int | Fraction]:
         self._validate_index(start)
         for x, y in zip(self.left.terms(start, stop), self.right.terms(start, stop)):
             yield x * y

@@ -17,7 +17,6 @@ from ratiocert.compare import (
     Direction,
     Engine,
     LogCombination,
-    LogTerm,
     Method,
     MethodStats,
     Verdict,
@@ -64,8 +63,8 @@ class Geometric(Sequence):
 def brute_sign(comb: LogCombination) -> Ordering:
     """Independent oracle: exact product comparison against 1."""
     lhs = Fraction(1)
-    for t in comb.terms:
-        lhs *= Fraction(t.base) ** t.coefficient
+    for c, x in comb.terms:
+        lhs *= Fraction(x) ** c
     if lhs > 1:
         return Ordering.GREATER
     if lhs < 1:
@@ -83,16 +82,26 @@ class TestLogCombination:
             [(3, Fraction(2)), (-1, Fraction(2)), (5, Fraction(3)), (-5, Fraction(3))]
         )
         assert len(comb.terms) == 1
-        t = comb.terms[0]
-        assert t.coefficient == 2 and t.base == 2
+        c, x = comb.terms[0]
+        assert c == 2 and x == 2
 
     def test_invalid_terms_rejected(self):
         with pytest.raises(ValueError):
-            LogTerm(0, Fraction(2))
+            LogCombination(((0, Fraction(2)),))
         with pytest.raises(ValueError):
-            LogTerm(1, Fraction(-2))
+            LogCombination(((1, Fraction(-2)),))
         with pytest.raises(ValueError):
-            LogTerm(1, Fraction(0))
+            LogCombination(((1, Fraction(0)),))
+
+    def test_int_and_equal_fraction_are_one_base(self):
+        assert LogCombination.from_pairs([(1, 2), (1, Fraction(2))]).terms == ((2, 2),)
+
+    def test_direct_combination_is_checked(self):
+        for terms in (((0, 2),), ((1, 0),), ((1, -3),), ((1, 2.0),), ((1.0, 2),)):
+            with pytest.raises(ValueError):
+                LogCombination(terms)
+        # from_pairs converts any other base exactly, as before
+        assert LogCombination.from_pairs([(1, 0.5)]).terms == ((1, Fraction(1, 2)),)
 
     def test_empty_combination_is_equal(self):
         v = sign_of_log_combination(LogCombination.from_pairs([]))
@@ -223,6 +232,15 @@ class TestSignOfLogCombination:
         with pytest.raises(ValueError):
             Engine(**settings)
 
+    @pytest.mark.parametrize("settings,field", [
+        ({"cap_bits": 1000.5, "mode": "interval"}, "cap_bits"),
+        ({"exact_budget": 1.5}, "exact_budget"),
+        ({"cap_bits": "x"}, "cap_bits"),
+    ])
+    def test_engine_rejects_non_integer_cap_or_budget(self, settings, field):
+        with pytest.raises(ValueError, match=field):
+            Engine(**settings)
+
     def test_engine_pickles_with_its_rungs(self):
         # the process pool sends the engine to every worker
         engine = Engine(64, 1000, 0, "interval")
@@ -281,7 +299,7 @@ class TestRatioStep:
 
     def test_cleared_combination_shape(self):
         comb = ratio_step_combination(fibonacci(), 5)
-        coeffs = {t.base: t.coefficient for t in comb.terms}
+        coeffs = {x: c for c, x in comb.terms}
         assert coeffs[Fraction(8)] == 2 * 5 * 7  # a_{n+1}
         assert coeffs[Fraction(5)] == -6 * 7  # a_n
         assert coeffs[Fraction(13)] == -5 * 6  # a_{n+2}
@@ -292,10 +310,10 @@ class TestRatioStep:
         for n in (1, 4, 9):
             merged = {}
             for child in (left, right):
-                for t in ratio_step_combination(child, n).terms:
-                    merged[t.base] = merged.get(t.base, 0) + t.coefficient
+                for c, x in ratio_step_combination(child, n).terms:
+                    merged[x] = merged.get(x, 0) + c
             merged = {b: c for b, c in merged.items() if c}
-            got = {t.base: t.coefficient for t in ratio_step_combination(prod, n).terms}
+            got = {x: c for c, x in ratio_step_combination(prod, n).terms}
             assert got == merged
 
     def test_product_of_greater_children_is_greater(self):
@@ -540,7 +558,7 @@ def log_combinations(draw):
     pool = draw(st.lists(base, min_size=1, max_size=3))
     coefficient = st.integers(-(10**6), 10**6).filter(bool)
     terms = draw(st.lists(st.tuples(coefficient, st.sampled_from(pool)), min_size=1, max_size=5))
-    return LogCombination(tuple(LogTerm(c, b) for c, b in terms))
+    return LogCombination(tuple(terms))
 
 
 class TestEvaluateCombination:
@@ -555,8 +573,8 @@ class TestEvaluateCombination:
 
         with mpmath.workprec(2048 + 256):
             truth = mpmath.fsum(
-                t.coefficient * (mpmath.log(t.base.numerator) - mpmath.log(t.base.denominator))
-                for t in comb.terms
+                c * (mpmath.log(x.numerator) - mpmath.log(x.denominator))
+                for c, x in comb.terms
             )
             truth = (truth + mpmath.mpf(offset.numerator) / offset.denominator) / divisor
         man, exp = truth.man_exp

@@ -251,6 +251,21 @@ class TestProductAndDispatch:
         p = Product(fibonacci(), Primes())
         assert list(p.terms(1, 20)) == [p.term(n) for n in range(1, 21)]
 
+    @pytest.mark.parametrize("seq", [
+        fibonacci(), Lucas(3, 2), Derangement(), Primes(), SquarefreeSum(),
+        Product(fibonacci(), Derangement()), Product(Primes(), SquarefreeSum()),
+    ], ids=lambda seq: seq.name)
+    def test_integer_families_give_plain_ints(self, seq):
+        lo = seq.domain_start
+        assert type(seq.term(lo + 5)) is int
+        assert all(type(x) is int for x in seq.terms(lo, lo + 20))
+
+    def test_harmonic_gives_fractions(self):
+        h = Harmonic(2)
+        assert type(h.term(4)) is Fraction
+        assert all(type(x) is Fraction for x in h.terms(1, 10))
+        assert type(Product(fibonacci(), h).term(4)) is Fraction
+
 
 class TestLucasConstants:
     def test_fibonacci_gamma_band(self):
