@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
@@ -213,6 +212,7 @@ def _run_scan(seq: Sequence, start: int, stop: int, direction: Direction,
     jobs = min(cfg.jobs, max(1, window_count // 8))
     if jobs <= 1:
         return check_monotone(seq, start, stop, direction, cfg.engine)
+    from concurrent.futures import ProcessPoolExecutor  # only a sharded scan pays its import
     block = -(-window_count // jobs)
     payloads = []
     n = start

@@ -5,8 +5,8 @@ and positive exact x_i, each an int or a Fraction; a LogCombination holds
 the (c_i, x_i) pairs.  Integer sequences give int terms, so a scan of one
 builds no Fraction.  Three routes exist:
 
-* interval ladder: evaluate S with outward-rounded enclosures at 128 bits,
-  doubling the precision until the enclosure excludes zero or a cap is hit;
+* interval ladder: read the sign off the ln kernel's integer pair for S at
+  128 bits, doubling the precision until it excludes zero or a cap is hit;
 * exact cross-power: compare prod x_i^{c_i} against 1 with big integers,
   the only route that can certify S = 0;
 * adaptive (default): choose between the two by predicted cost.  A fitted
@@ -31,8 +31,8 @@ a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
 2n(n+2)*ln a_{n+1} - (n+1)(n+2)*ln a_n - n(n+1)*ln a_{n+2} > 0 after
 clearing the positive denominator n(n+1)(n+2).
 
-evaluate_combination also encloses (S + r) / d, r rational and d a positive
-integer, on the same integers; the named checks and the ln r_n table use it.
+evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
+on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def _exact_s(exact_bits: int) -> float:
 
 
 def _rung_s(terms: int, bits: int) -> float:
-    """Predicted seconds of one evaluate_combination rung."""
+    """Predicted seconds of one interval rung."""
     return terms * (_RUNG_TERM_S + _RUNG_BIT_S * bits**_RUNG_POWER)
 
 
@@ -248,10 +248,12 @@ def evaluate_combination(comb: LogCombination, bits: int, offset=0, divisor: int
     Each base's exact numerator and denominator go into the ln kernel; the
     sum, the outward-rounded offset and the floored/ceiled division are plain
     integers at the kernel's one scale 2**-(bits+8), so enclosures still nest
-    as the precision rises.  Scans pass neither, and then build no Fraction.
+    as the precision rises.  Without an offset or divisor no Fraction is built.
     """
     _check_bits(bits)
-    if divisor < 1:
+    if not isinstance(offset, (int, Fraction)):
+        raise ValueError(f"offset must be an int or Fraction, got {offset!r}")
+    if not isinstance(divisor, int) or divisor < 1:
         raise ValueError(f"divisor must be a positive integer, got {divisor!r}")
     return _fixed_interval(*_combination_fixed(comb, bits, offset, divisor), bits)
 
@@ -273,10 +275,10 @@ def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGIN
     for i, bits in enumerate(engine.rungs):
         if exact_s is not None and exact_s < max(spent, _rung_s(terms, bits)):
             return Verdict(decide_exact(comb), Method.EXACT, None, max(i - 1, 0))
-        enc = evaluate_combination(comb, bits)
-        if enc.strictly_positive():
+        lo, hi = _combination_fixed(comb, bits)
+        if lo > 0:
             return Verdict(Ordering.GREATER, Method.INTERVAL, bits, i)
-        if enc.strictly_negative():
+        if hi < 0:
             return Verdict(Ordering.LESS, Method.INTERVAL, bits, i)
         spent += _rung_s(terms, bits)
     if exact_s is not None:

@@ -4,7 +4,8 @@ Every approximate quantity is a plain integer pair (lo, hi) meaning
 [lo, hi] * 2**-w, at one scale w = bits + 8 per precision.  Every operation
 floors the lower endpoint and ceils the upper one, so the true real value
 stays inside, and an enclosure at a precision contains the enclosure at any
-higher one.  A pair is wrapped once, by _fixed_interval, in a DyadicInterval:
+higher one.  A sign is read off the pair itself.  Only an enclosure that a
+public function returns is wrapped, by _fixed_interval, in a DyadicInterval:
 closed dyadic endpoints m * 2**e compared as exact integers.  No binary float
 ever participates in a decision.
 

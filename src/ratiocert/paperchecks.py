@@ -14,7 +14,7 @@ remainder and bound, the derangement log offsets, and ln disc.  The
 prime-ratio refinement adds ln ln n and ln(1 - u), and the terms with
 irrational constants (gamma and the gap bound's g-terms, n!/e, 6e + 3) are
 pair products, powers and quotients.  A check decides on the integers and
-wraps each reported enclosure in a DyadicInterval once.
+turns a pair into floats only for its `detail`; it builds no DyadicInterval.
 
 Every check takes one Engine.  Interval checks climb the same precision
 ladder as the ratio-step verdicts (Engine.rungs: start_bits, doubling up to
@@ -41,17 +41,16 @@ from .compare import (
     Verdict,
     _combination_fixed,
     cmp_roots,
-    evaluate_combination,
     ratio_step_combination,
     ratio_step_verdict,
 )
 from .numerics import (
-    DyadicInterval,
+    _KERNEL_EXTRA_BITS,
+    Dyadic,
     NonPositiveArgument,
     Ordering,
     _div_fixed,
     _e_fixed,
-    _fixed_interval,
     _fixed_rational,
     _ln_fixed,
     _ln_scaled,
@@ -65,7 +64,6 @@ from .sequences import (
     Lucas,
     derangement_term,
     harmonic_term,
-    lucas_constants,
     nth_prime,
     _ensure_prime_count,
     _lucas_fixed,
@@ -99,8 +97,9 @@ class CheckResult:
         }
 
 
-def _ivf(iv: DyadicInterval) -> list[float]:
-    return [float(iv.lo), float(iv.hi)]
+def _ivf(lo: int, hi: int, bits: int) -> list[float]:
+    # the reported floats of the pair [lo, hi] * 2**-(bits+8)
+    return [float(Dyadic(x, -bits - _KERNEL_EXTRA_BITS)) for x in (lo, hi)]
 
 
 def _abs_fixed(lo: int, hi: int) -> tuple[int, int]:
@@ -135,11 +134,11 @@ def _certify(name: str, witness: Optional[dict],
 
 
 def _strict_sign_check(name: str, witness: Optional[dict],
-                       margin_at: Callable[[int], DyadicInterval], engine: Engine) -> CheckResult:
-    # Certified iff the margin is strictly positive; Refuted iff strictly negative.
+                       margin_at: Callable[[int], tuple], engine: Engine) -> CheckResult:
+    # margin_at(bits) -> (lo, hi, its scale's bits); Certified iff lo > 0, Refuted iff hi < 0
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        m = margin_at(bits)
-        return m.strictly_positive(), m.strictly_negative(), {"margin": _ivf(m)}
+        lo, hi, eff = margin_at(bits)
+        return lo > 0, hi < 0, {"margin": _ivf(lo, hi, eff)}
 
     return _certify(name, witness, judge, engine)
 
@@ -179,7 +178,7 @@ def check_log5_positive(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     comb = LogCombination.from_pairs([(1, 5)])
     return _strict_sign_check(
         "log5-minus-one-positive", None,
-        lambda bits: evaluate_combination(comb, bits, -1), engine,
+        lambda bits: (*_combination_fixed(comb, bits, -1), bits), engine,
     )
 
 
@@ -188,12 +187,13 @@ _GAMMA_BAND = (Fraction(-3825, 10000), Fraction(-3815, 10000))
 
 def check_fibonacci_gamma_band(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """The Fibonacci root ratio gamma lies in [-0.3825, -0.3815]."""
-    lo_band, hi_band = _GAMMA_BAND
 
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        g = lucas_constants(1, -1, bits).gamma
-        lo, hi = g.lo.as_fraction(), g.hi.as_fraction()
-        return lo >= lo_band and hi <= hi_band, hi < lo_band or lo > hi_band, {"gamma": _ivf(g)}
+        eff, *_, (lo, hi), _abs, _q = _lucas_fixed(1, -1, bits)
+        # the band on integers: lo >= ceil(band_lo * 2**w) and hi <= floor(band_hi * 2**w)
+        lo_band, hi_band = (_fixed_rational(x, eff)[i] for x, i in zip(_GAMMA_BAND, (1, 0)))
+        return lo >= lo_band and hi <= hi_band, hi < lo_band or lo > hi_band, {
+            "gamma": _ivf(lo, hi, eff)}
 
     return _certify("fibonacci-gamma-band", None, judge, engine)
 
@@ -201,11 +201,11 @@ def check_fibonacci_gamma_band(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
 def check_gamma_sixth_power(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """|gamma|^6 * 7 * 8 < 1/3 for the Fibonacci recurrence."""
 
-    def margin(bits: int) -> DyadicInterval:
+    def margin(bits: int) -> tuple[int, int, int]:
         eff, *_, g, _q = _lucas_fixed(1, -1, bits)
         third_lo, third_hi = _fixed_rational(Fraction(1, 3), eff)
         p_lo, p_hi = _pow_fixed(g, 6, eff)
-        return _fixed_interval(third_lo - 56 * p_hi, third_hi - 56 * p_lo, eff)
+        return third_lo - 56 * p_hi, third_hi - 56 * p_lo, eff
 
     return _strict_sign_check("gamma-sixth-power-bound", None, margin, engine)
 
@@ -260,7 +260,7 @@ def check_lucas_gap_bound(
 
     sides = {}
 
-    def margin(bits: int) -> DyadicInterval:
+    def margin(bits: int) -> tuple[int, int, int]:
         eff, *_, g, q = _lucas_fixed(a, b, bits)
         lhs = _combination_fixed(comb, eff)
         qg, g2 = _mul_fixed(q, g, eff), _pow_fixed(g, 2, eff)
@@ -269,9 +269,9 @@ def check_lucas_gap_bound(
         t_lo, t_hi = _mul_fixed(_pow_fixed(g, n, eff), inner, eff)
         d_lo, d_hi = _combination_fixed(ln_disc, eff)
         rhs = (d_lo - t_hi, d_hi - t_lo)
-        sides["lhs"] = _ivf(_fixed_interval(*lhs, eff))
-        sides["rhs"] = _ivf(_fixed_interval(*rhs, eff))
-        return _fixed_interval(lhs[0] - rhs[1], lhs[1] - rhs[0], eff)
+        sides["lhs"] = _ivf(*lhs, eff)
+        sides["rhs"] = _ivf(*rhs, eff)
+        return lhs[0] - rhs[1], lhs[1] - rhs[0], eff
 
     out = _strict_sign_check(
         f"lucas-gap-bound({a},{b},n={n})", {"a": a, "b": b, "n": n}, margin, engine,
@@ -312,7 +312,7 @@ def check_unit_discriminant_tail(
     comb = ratio_step_combination(Lucas(a, b), n)
     d = n * (n + 1) * (n + 2)
     out = _strict_sign_check(
-        name, witness, lambda bits: evaluate_combination(comb, bits, -d * w, d), engine,
+        name, witness, lambda bits: (*_combination_fixed(comb, bits, -d * w, d), bits), engine,
     )
     out.detail["w_n"] = [float(w), float(w)]
     return out
@@ -349,8 +349,7 @@ def check_derangement_offset(n: int, engine: Engine = DEFAULT_ENGINE) -> CheckRe
         return (
             dist[1] <= half and offs[1] <= thresh_log,
             dist[0] > half or offs[0] > thresh_log,
-            {"abs_dist": _ivf(_fixed_interval(*dist, bits)),
-             "abs_log_offset": _ivf(_fixed_interval(*offs, bits))},
+            {"abs_dist": _ivf(*dist, bits), "abs_log_offset": _ivf(*offs, bits)},
         )
 
     return _certify(f"derangement-offset(n={n})", {"n": n}, judge, engine)
@@ -377,8 +376,7 @@ def check_offset_second_difference(n: int, engine: Engine = DEFAULT_ENGINE) -> C
         mag = _abs_fixed(*_combination_fixed(comb, bits))
         # sound directions: our upper endpoint against the bound's lower one
         return mag[1] <= bound[0], mag[0] > bound[1], {
-            "abs_value": _ivf(_fixed_interval(*mag, bits)),
-            "bound": _ivf(_fixed_interval(*bound, bits))}
+            "abs_value": _ivf(*mag, bits), "bound": _ivf(*bound, bits)}
 
     return _certify(f"offset-second-difference(n={n})", {"n": n}, judge, engine)
 
@@ -394,8 +392,7 @@ def check_stirling_remainder(n: int, engine: Engine = DEFAULT_ENGINE) -> CheckRe
         r2 = _abs_fixed(*_combination_fixed(remainder, bits, n))
         bound = _combination_fixed(ln_n, bits, 1)
         return r2[1] < bound[0], r2[0] >= bound[1], {
-            "abs_value": _ivf(_fixed_interval(*r2, bits)),
-            "bound": _ivf(_fixed_interval(*bound, bits))}
+            "abs_value": _ivf(*r2, bits), "bound": _ivf(*bound, bits)}
 
     return _certify(f"stirling-remainder(n={n})", {"n": n}, judge, engine)
 
@@ -412,7 +409,7 @@ def check_log_quadratic_bound(x: Fraction, engine: Engine = DEFAULT_ENGINE) -> C
     comb = LogCombination.from_pairs([(1, 1 + xf)])
     return _strict_sign_check(
         f"log-quadratic-lower(x={xf})", {"x": str(xf)},
-        lambda bits: evaluate_combination(comb, bits, xf * xf / 2 - xf), engine,
+        lambda bits: (*_combination_fixed(comb, bits, xf * xf / 2 - xf), bits), engine,
     )
 
 
@@ -432,7 +429,7 @@ def check_harmonic_xlogx(m: int, n: int, engine: Engine = DEFAULT_ENGINE) -> Che
     return _strict_sign_check(
         f"harmonic-xlogx(m={m},n={n})",
         {"m": m, "n": n, "in_hypothesis": m >= 11 or n >= 30},
-        lambda bits: evaluate_combination(comb, bits, -rhs / h), engine,
+        lambda bits: (*_combination_fixed(comb, bits, -rhs / h), bits), engine,
     )
 
 
@@ -476,14 +473,14 @@ def check_prime_ratio_refinement(n: int, engine: Engine = DEFAULT_ENGINE) -> Che
     lhs = LogCombination.from_pairs([(n, p_next), (-(n + 1), p)])
     k = 2 * n * n
 
-    def margin(bits: int) -> DyadicInterval:
+    def margin(bits: int) -> tuple[int, int, int]:
         # certify LHS < RHS by showing ln(1 - u) - ln LHS > 0, u = ln ln n / (2n^2),
         # on integer endpoints at the ln kernel's one scale
         one = _fixed_rational(1, bits)[0]
         ll_lo, ll_hi = _ln_scaled(*_ln_fixed(n, 0, bits), bits)
         r_lo, r_hi = _ln_scaled(one + (-ll_hi // k), one - ll_lo // k, bits)
         s_lo, s_hi = _combination_fixed(lhs, bits, 0, n * (n + 1))
-        return _fixed_interval(r_lo - s_hi, r_hi - s_lo, bits)
+        return r_lo - s_hi, r_hi - s_lo, bits
 
     return _strict_sign_check(f"prime-ratio-refinement(n={n})", witness, margin, engine)
 

@@ -94,8 +94,8 @@ def derangement_term(n: int) -> int:
 
 def harmonic_term(m: int, n: int) -> Fraction:
     """Generalized harmonic number H_n^(m) = sum_{k<=n} 1/k**m, exact."""
-    if m < 1:
-        raise InvalidParameters(f"harmonic order must be >= 1, got {m}")
+    if not isinstance(m, int) or m < 1:
+        raise InvalidParameters(f"harmonic order must be an int >= 1, got {m!r}")
     if n < 1:
         raise IndexBelowDomainStart(f"index {n} below 1")
     total = Fraction(0)
@@ -282,8 +282,8 @@ class Harmonic(Sequence):
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise InvalidParameters(f"harmonic order must be >= 1, got {self.m}")
+        if not isinstance(self.m, int) or self.m < 1:
+            raise InvalidParameters(f"harmonic order must be an int >= 1, got {self.m!r}")
 
     @property
     def name(self) -> str:

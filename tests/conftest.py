@@ -7,6 +7,24 @@ summary, after capture has ended.
 
 import sys
 
+import pytest
+
+
+@pytest.fixture
+def interval_builds(monkeypatch):
+    """Every DyadicInterval built while the test runs, in order."""
+    from ratiocert import numerics
+
+    built = []
+    original = numerics.DyadicInterval.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(numerics.DyadicInterval, "__post_init__", counting)
+    return built
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance") or sys.modules.get(

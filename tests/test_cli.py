@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output formats, schema stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ratiocert
 from ratiocert.cli import (
     EXIT_OK,
     EXIT_UNDECIDED,
@@ -26,6 +31,17 @@ def run_json(capsys, argv):
     code = main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a sharded scan needs concurrent.futures; a fresh `import
+    # ratiocert.cli` must not pay for it
+    src = str(Path(ratiocert.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ratiocert.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSequenceTokens:

@@ -361,6 +361,19 @@ class TestRatioStep:
 
 
 class TestCheckMonotone:
+    @pytest.mark.parametrize("spec, start, stop, direction", [
+        (fibonacci(), 1, 400, Direction.DECREASING),
+        (Harmonic(3), 3, 60, Direction.INCREASING),
+        # near ties: the ladder climbs past its first rung
+        (Lucas(3, 2), 1, 200, Direction.DECREASING),
+    ])
+    def test_scan_builds_no_interval(self, interval_builds, spec, start, stop, direction):
+        report = check_monotone(spec, start, stop, direction)
+        assert report.stats.interval > 0
+        assert interval_builds == []
+        evaluate_combination(LogCombination.from_pairs([(1, 5)]), 128)
+        assert len(interval_builds) == 1
+
     def test_fibonacci_spec_examples(self):
         fib = fibonacci()
         rep = check_monotone(fib, 4, 100, Direction.DECREASING)
@@ -609,6 +622,18 @@ class TestEvaluateCombination:
                 if x.denominator != 1:
                     integers.add(x.denominator)
         assert numerics._ln_fixed.cache_info().misses == len(integers)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"divisor": 2.0}, "divisor"),
+        ({"divisor": Fraction(2)}, "divisor"),
+        ({"divisor": 0}, "divisor"),
+        ({"offset": 0.5}, "offset"),
+        ({"offset": "1"}, "offset"),
+    ])
+    def test_malformed_arguments_are_named(self, kwargs, name):
+        comb = LogCombination.from_pairs([(1, 5)])
+        with pytest.raises(ValueError, match=name):
+            evaluate_combination(comb, 128, **kwargs)
 
     def test_long_scan_memory_stays_bounded(self):
         import tracemalloc

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from ratiocert.compare import Engine
+from ratiocert import paperchecks
+from ratiocert.compare import (
+    Engine,
+    LogCombination,
+    evaluate_combination,
+    ratio_step_combination,
+)
 from ratiocert.paperchecks import (
     CheckResult,
     CheckStatus,
@@ -30,7 +36,13 @@ from ratiocert.paperchecks import (
     paper_suite,
 )
 from ratiocert.numerics import NonPositiveArgument
-from ratiocert.sequences import InvalidParameters, harmonic_term, nth_prime
+from ratiocert.sequences import (
+    InvalidParameters,
+    Lucas,
+    harmonic_term,
+    lucas_constants,
+    nth_prime,
+)
 
 
 class TestConstantsSuite:
@@ -240,6 +252,11 @@ class TestSuite:
             assert r.stats.max_bits <= bits, r.name
             assert r.stats.escalations <= escalations, r.name
 
+    def test_suite_builds_no_interval(self, interval_builds):
+        results = paper_suite(prime_horizon=5, offset_max=3, stirling_max=2)
+        assert all(r.status is CheckStatus.CERTIFIED for r in results)
+        assert interval_builds == []
+
     def test_tight_cap_goes_undecided_not_wrong(self):
         # the offset margin near n = 60 needs ~400 bits, far beyond this cap
         results = paper_suite(
@@ -309,3 +326,72 @@ class TestMarginsAgainstMpmath:
         slack = 4 * 2.0**-53 * max(abs(lo), abs(hi))
         assert lo - slack <= truth <= hi + slack, (out.name, lo, hi, truth)
         assert out.status is (CheckStatus.CERTIFIED if truth > 0 else CheckStatus.REFUTED)
+
+
+def _unit_tail_enclosure(a, b, n, bits):
+    g = Fraction(a - 1, a + 1)
+    w = (Fraction(2, n + 1) * (-(g ** (n + 1)) - g ** (2 * n + 2))
+         + g**n / n + g ** (n + 2) / (n + 2))
+    d = n * (n + 1) * (n + 2)
+    return evaluate_combination(ratio_step_combination(Lucas(a, b), n), bits, -d * w, d)
+
+
+def _xlogx_enclosure(m, n, bits):
+    h = harmonic_term(m, n)
+    rhs = 4 * Fraction(2, n + 2) ** (m - 1)
+    return evaluate_combination(LogCombination.from_pairs([(1, h)]), bits, -rhs / h)
+
+
+def _log_quadratic_enclosure(x, bits):
+    return evaluate_combination(LogCombination.from_pairs([(1, 1 + x)]), bits, x * x / 2 - x)
+
+
+PUBLIC_MARGINS = [
+    pytest.param(check_log5_positive, (),
+                 lambda bits: evaluate_combination(LogCombination.from_pairs([(1, 5)]), bits, -1),
+                 id="log5"),
+    *(pytest.param(check_log_quadratic_bound, (x,),
+                   lambda bits, x=x: _log_quadratic_enclosure(x, bits), id=f"log-quadratic-{x}")
+      for x in (Fraction(1), Fraction(1, 1000), Fraction(10))),
+    *(pytest.param(check_harmonic_xlogx, (m, n), lambda bits, m=m, n=n: _xlogx_enclosure(m, n, bits),
+                   id=f"harmonic-xlogx-{m}-{n}")
+      for m, n in ((1, 30), (11, 3), (13, 3))),
+    *(pytest.param(check_unit_discriminant_tail, (a, b, n),
+                   lambda bits, a=a, b=b, n=n: _unit_tail_enclosure(a, b, n, bits),
+                   id=f"unit-discriminant-tail-{a}-{b}-{n}")
+      for a, b, n in ((3, 2, 50), (5, 6, 20), (3, 2, 2))),
+]
+
+
+class TestMarginsOnTheIntegerPair:
+    """Checks decide on the kernel's integer pair; what they report must be the
+    public enclosure of the same margin at the rung that decided."""
+
+    @pytest.mark.parametrize("start_bits", [16, 128, 512])
+    @pytest.mark.parametrize("check, args, public", PUBLIC_MARGINS)
+    def test_margin_is_the_public_enclosure(self, check, args, public, start_bits):
+        out = check(*args, engine=Engine(start_bits=start_bits))
+        enc = public(out.detail["bits"])
+        assert out.detail["margin"] == [float(enc.lo), float(enc.hi)]
+        expected = (CheckStatus.CERTIFIED if enc.strictly_positive()
+                    else CheckStatus.REFUTED if enc.strictly_negative()
+                    else CheckStatus.UNDECIDED)
+        assert out.status is expected
+
+    @pytest.mark.parametrize("bits", [16, 24, 64, 100, 128, 1024])
+    def test_gamma_band_matches_the_fraction_comparison(self, bits, monkeypatch):
+        constants = lucas_constants(1, -1, bits)
+        g = constants.gamma
+        lo, hi = g.lo.as_fraction(), g.hi.as_fraction()
+        eps = Fraction(1, 2 ** (constants.bits + 16))  # far below one unit of the pair's scale
+        bands = [paperchecks._GAMMA_BAND, (lo, hi), (lo - eps, hi + eps), (lo + eps, hi),
+                 (lo, hi - eps), (hi, hi + eps), (hi + eps, hi + 2 * eps),
+                 (lo - eps, lo), (lo - 2 * eps, lo - eps)]
+        for band_lo, band_hi in bands:
+            monkeypatch.setattr(paperchecks, "_GAMMA_BAND", (band_lo, band_hi))
+            out = check_fibonacci_gamma_band(Engine(start_bits=bits, cap_bits=bits))
+            expected = (CheckStatus.CERTIFIED if lo >= band_lo and hi <= band_hi
+                        else CheckStatus.REFUTED if hi < band_lo or lo > band_hi
+                        else CheckStatus.UNDECIDED)
+            assert out.status is expected, (band_lo, band_hi)
+            assert out.detail["gamma"] == [float(g.lo), float(g.hi)]

@@ -170,6 +170,12 @@ class TestHarmonic:
             harmonic_term(1, 0)
         with pytest.raises(InvalidParameters):
             Harmonic(0)
+        # a non-int order is rejected up front, not when a term is taken
+        for m in (1.5, 2.0, Fraction(2), "2"):
+            with pytest.raises(InvalidParameters, match="order"):
+                Harmonic(m)
+            with pytest.raises(InvalidParameters, match="order"):
+                harmonic_term(m, 3)
 
     def test_streaming(self):
         h = Harmonic(3)
