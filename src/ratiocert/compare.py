@@ -29,7 +29,11 @@ and every function below that decides a sign takes an Engine.
 Root-ratio monotonicity reduces to such signs: with r_n =
 a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
 2n(n+2)*ln a_{n+1} - (n+1)(n+2)*ln a_n - n(n+1)*ln a_{n+2} > 0 after
-clearing the positive denominator n(n+1)(n+2).
+clearing the positive denominator n(n+1)(n+2).  check_monotone keeps a
+record (x, size, lo, hi) per window term: its estimate_exact_bits summand and
+first-rung ln pair.  Where one sequence's three bases are distinct, a step's
+first rung is sign_of_log_combination's, read off the records in a few
+multiply-adds; every other step, and the one after an escalation, calls it.
 
 evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
 on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
@@ -41,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice, pairwise
 from typing import Iterable, Iterator, Optional, Sequence as Seq
 
 from .numerics import (
@@ -80,9 +84,10 @@ from .sequences import Product, Sequence
 #   to six times these times.  Refitted, they only moved small steps from the
 #   exact route to the first rung, which measured no faster, and they let an
 #   exact tie climb one rung further (the 3M-bit tie of Geometric(10) at
-#   n = 60: 6 escalations, not 5).  Within a scan each term's ln is computed
-#   once and reused by the next two steps, so there a rung costs about a
-#   third of the prediction.
+#   n = 60: 6 escalations, not 5).  Within a scan each term's first-rung ln
+#   is computed once, when it enters the window, so a step settled on that
+#   rung costs one new term's kernel call and three multiply-adds: at 128
+#   bits about a tenth of the prediction (0.010 ms against 0.127 ms).
 _EXACT_S = 1.2e-11
 _EXACT_POWER = 1.58
 _RUNG_TERM_S = 4e-5
@@ -421,16 +426,51 @@ def check_monotone(
     if stop < start + 2:
         raise ValueError(f"scan needs stop >= start + 2, got [{start}, {stop}]")
     expected = Ordering.GREATER if direction is Direction.DECREASING else Ordering.LESS
-    leaves = _leaf_sequences(spec)
-    iters: list[Iterator[int | Fraction]] = [leaf.terms(start, stop) for leaf in leaves]
+    bits = engine.rungs[0]
+
+    def record(x) -> tuple:
+        # (x, size, lo, hi): the term, its summand of estimate_exact_bits and
+        # its first-rung ln pair, built once for the three steps it serves
+        x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+        if x <= 0:
+            raise ValueError(f"log base must be a positive int or Fraction, got {x!r}")
+        return x, x.numerator.bit_length() + x.denominator.bit_length(), *_ln_exact(x, bits)
+
+    iters = [map(record, leaf.terms(start, stop)) for leaf in _leaf_sequences(spec)]
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
     violations: list[int] = []
     undecided: list[int] = []
+    # the record rung reads one leaf's window with all three coefficients nonzero
+    use_records = len(windows) == 1 and engine.mode != "exact" and start >= 1
+    budget = engine.exact_budget if engine.mode == "adaptive" else -1  # -1: no exact route
+    rung_s = _rung_s(3, bits)
+    greater, less = (Verdict(o, Method.INTERVAL, bits) for o in (Ordering.GREATER, Ordering.LESS))
+
+    def record_rung(n: int) -> Optional[Verdict]:
+        # sign_of_log_combination's first rung on the records, or None where
+        # that function must decide: a repeated base, the exact route predicted
+        # cheaper than this rung, or zero inside the pair
+        (a0, s0, lo0, hi0), (a1, s1, lo1, hi1), (a2, s2, lo2, hi2) = windows[0]
+        if a0 == a1 or a1 == a2 or a0 == a2:
+            return None
+        c1, c0, c2 = _ratio_coefficients(n)  # c1 > 0 > c0, c2
+        cost = c1 * s1 - c0 * s0 - c2 * s2
+        if cost <= budget and _exact_s(cost) < rung_s:
+            return None
+        if c1 * lo1 + c0 * hi0 + c2 * hi2 > 0:
+            return greater
+        return less if c1 * hi1 + c0 * lo0 + c2 * lo2 < 0 else None
 
     def verdicts() -> Iterator[Verdict]:
+        try_records = use_records
         for n in range(start, stop - 1):
-            comb = LogCombination.from_pairs(_window_pairs(n, windows))
-            v = sign_of_log_combination(comb, engine)
+            v = record_rung(n) if try_records else None
+            if v is None:
+                terms = ([r[0] for r in w] for w in windows)
+                v = sign_of_log_combination(
+                    LogCombination.from_pairs(_window_pairs(n, terms)), engine)
+            # near-ties come in runs: after an escalation, start on the ladder
+            try_records = use_records and not v.escalations
             if v.ordering is Ordering.UNDECIDED:
                 undecided.append(n)
             elif v.ordering is not expected:
@@ -514,8 +554,11 @@ def ratio_table(
     """Enclosures of ln r_n = (n ln a_{n+1} - (n+1) ln a_n) / (n(n+1)) at given indices."""
     _check_bits(bits)
     rows = []
-    for n in indices:
-        spec._validate_index(n)
-        comb = LogCombination.from_pairs([(n, spec.term(n + 1)), (-(n + 1), spec.term(n))])
-        rows.append((n, evaluate_combination(comb, bits, divisor=n * (n + 1))))
+    # each run of consecutive indices streams its terms once
+    for _, run in groupby(enumerate(indices), key=lambda p: p[1] - p[0]):
+        ns = [n for _, n in run]
+        spec._validate_index(ns[0])
+        for n, (a0, a1) in zip(ns, pairwise(spec.terms(ns[0], ns[-1] + 1))):
+            comb = LogCombination.from_pairs([(n, a1), (-(n + 1), a0)])
+            rows.append((n, evaluate_combination(comb, bits, divisor=n * (n + 1))))
     return rows

@@ -443,6 +443,66 @@ class TestCheckMonotone:
         with pytest.raises(ValueError):
             combine_reports([a, b])
 
+    @pytest.mark.parametrize("engine", [
+        DEFAULT_ENGINE,
+        Engine(start_bits=16),
+        Engine(cap_bits=128, exact_budget=0),
+        Engine(exact_budget=0),
+        Engine(mode="interval"),
+        Engine(mode="exact", exact_budget=1 << 40),
+    ], ids=repr)
+    @pytest.mark.parametrize("spec, start, stop", [
+        (fibonacci(), 1, 300),  # F1 = F2: step 1 repeats a base
+        (Lucas(3, 2), 90, 170),  # near-ties: escalations, undecided under a cap
+        (Lucas(2, -1), 1, 200),
+        (Derangement(), 2, 200),
+        (Harmonic(2), 1, 60),
+        (Primes(), 1, 300),
+        (SquarefreeSum(), 1, 300),
+        (Product(fibonacci(), Derangement()), 2, 100),
+        (Geometric(2), 1, 6),  # exact ties
+        (Geometric(10), 1, 4),
+    ], ids=lambda x: getattr(x, "name", x))
+    def test_scan_equals_its_step_verdicts(self, spec, start, stop, engine):
+        # the scan decides most steps from its window records; each step must
+        # come out as ratio_step_verdict decides it alone
+        if engine.mode == "exact":
+            start, stop = spec.domain_start, spec.domain_start + 20
+        report = check_monotone(spec, start, stop, Direction.DECREASING, engine)
+        steps = range(start, stop - 1)
+        verdicts = [ratio_step_verdict(spec, n, engine) for n in steps]
+        undecided = tuple(n for n, v in zip(steps, verdicts)
+                          if v.ordering is Ordering.UNDECIDED)
+        violations = tuple(n for n, v in zip(steps, verdicts)
+                           if v.ordering not in (Ordering.GREATER, Ordering.UNDECIDED))
+        assert report.violations == violations
+        assert report.undecided == undecided
+        assert report.min_valid_start == (violations[-1] + 1 if violations else start)
+        assert report.stats == MethodStats.of(verdicts)
+
+    @pytest.mark.parametrize("spec, stop, escalates", [
+        (Lucas(3, 2), 300, True), (fibonacci(), 400, False)])
+    def test_public_calls_see_every_escalation_and_exact_verdict(
+            self, monkeypatch, spec, stop, escalates):
+        # steps settled on the record rung never call sign_of_log_combination;
+        # every escalation and exact verdict of the scan must still pass there
+        from ratiocert import compare
+
+        seen = []
+        original = compare.sign_of_log_combination
+
+        def counting(comb, engine=DEFAULT_ENGINE):
+            seen.append(original(comb, engine))
+            return seen[-1]
+
+        monkeypatch.setattr(compare, "sign_of_log_combination", counting)
+        report = check_monotone(spec, 1, stop, Direction.DECREASING)
+        assert report.stats.exact > 0
+        assert (report.stats.escalations > 0) == escalates
+        assert sum(v.escalations for v in seen) == report.stats.escalations
+        assert sum(v.method is Method.EXACT for v in seen) == report.stats.exact
+        assert len(seen) < report.stop - report.start - 1
+
 
 class TestFindMinStart:
     def test_fibonacci(self):
@@ -481,6 +541,24 @@ class TestRatioTable:
         doubled = DyadicInterval(Dyadic(single.lo.mantissa, single.lo.exponent + 1),
                                  Dyadic(single.hi.mantissa, single.hi.exponent + 1))
         assert squared.intersects(doubled)
+
+    def test_runs_of_indices_stream_their_terms(self, monkeypatch):
+        # a contiguous run takes its terms from Derangement.terms, never from
+        # the O(n) Derangement.term; rows keep the order and repeats given
+        from ratiocert.sequences import derangement_term
+
+        def expected(n, bits=128):
+            comb = LogCombination.from_pairs(
+                [(n, derangement_term(n + 1)), (-(n + 1), derangement_term(n))])
+            return n, evaluate_combination(comb, bits, divisor=n * (n + 1))
+
+        def no_term(self, n):
+            raise AssertionError("ratio_table called Derangement.term")
+
+        monkeypatch.setattr(Derangement, "term", no_term)
+        assert ratio_table(Derangement(), range(2, 300)) == [expected(n) for n in range(2, 300)]
+        indices = [9, 7, 8, 8, 3, 4, 5, 2]
+        assert ratio_table(Derangement(), indices, 256) == [expected(n, 256) for n in indices]
 
     def test_harmonic_definite_sign(self):
         (_, enc), = ratio_table(Harmonic(1), [10])
