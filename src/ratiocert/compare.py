@@ -29,11 +29,13 @@ and every function below that decides a sign takes an Engine.
 Root-ratio monotonicity reduces to such signs: with r_n =
 a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
 2n(n+2)*ln a_{n+1} - (n+1)(n+2)*ln a_n - n(n+1)*ln a_{n+2} > 0 after
-clearing the positive denominator n(n+1)(n+2).  check_monotone keeps a
-record (x, size, lo, hi) per window term: its estimate_exact_bits summand and
-first-rung ln pair.  Where one sequence's three bases are distinct, a step's
-first rung is sign_of_log_combination's, read off the records in a few
-multiply-adds; every other step, and the one after an escalation, calls it.
+clearing the positive denominator n(n+1)(n+2).  ratio_step_verdicts streams
+a range of such steps for check_monotone and the paper's window checks.  It
+keeps a record (x, size, lo, hi) per window term: its estimate_exact_bits
+summand and first-rung ln pair.  Where one sequence's three bases are
+distinct, a step's first rung is sign_of_log_combination's, read off the
+records in a few multiply-adds; every other step, and the one after an
+escalation, calls it.
 
 evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
 on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
@@ -45,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby, islice, pairwise
+from itertools import islice, pairwise
 from typing import Iterable, Iterator, Optional, Sequence as Seq
 
 from .numerics import (
@@ -409,23 +411,18 @@ def _min_valid_start(start: int, violations: Seq[int]) -> int:
     return violations[-1] + 1 if violations else start
 
 
-def check_monotone(
-    spec: Sequence,
-    start: int,
-    stop: int,
-    direction: Direction,
-    engine: Engine = DEFAULT_ENGINE,
-) -> MonotonicityReport:
-    """Scan ratio steps n = start..stop-2 against the claimed direction.
+def ratio_step_verdicts(
+    spec: Sequence, start: int, stop: int, engine: Engine = DEFAULT_ENGINE
+) -> Iterator[tuple[int, Verdict]]:
+    """Yield (n, ratio_step_verdict(spec, n, engine)) for n = start..stop-2.
 
-    Indices whose verdict contradicts the direction (including an exact tie)
-    are violations; Undecided indices are reported separately and also defeat
-    certification.
+    The terms a_start..a_stop are streamed once through spec.terms, and a
+    step is computed only when it is asked for, so a caller that stops early
+    pays for no later step.
     """
     spec._validate_index(start)
     if stop < start + 2:
         raise ValueError(f"scan needs stop >= start + 2, got [{start}, {stop}]")
-    expected = Ordering.GREATER if direction is Direction.DECREASING else Ordering.LESS
     bits = engine.rungs[0]
 
     def record(x) -> tuple:
@@ -438,8 +435,6 @@ def check_monotone(
 
     iters = [map(record, leaf.terms(start, stop)) for leaf in _leaf_sequences(spec)]
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
-    violations: list[int] = []
-    undecided: list[int] = []
     # the record rung reads one leaf's window with all three coefficients nonzero
     use_records = len(windows) == 1 and engine.mode != "exact" and start >= 1
     budget = engine.exact_budget if engine.mode == "adaptive" else -1  # -1: no exact route
@@ -461,26 +456,47 @@ def check_monotone(
             return greater
         return less if c1 * hi1 + c0 * lo0 + c2 * lo2 < 0 else None
 
-    def verdicts() -> Iterator[Verdict]:
-        try_records = use_records
-        for n in range(start, stop - 1):
-            v = record_rung(n) if try_records else None
-            if v is None:
-                terms = ([r[0] for r in w] for w in windows)
-                v = sign_of_log_combination(
-                    LogCombination.from_pairs(_window_pairs(n, terms)), engine)
-            # near-ties come in runs: after an escalation, start on the ladder
-            try_records = use_records and not v.escalations
+    try_records = use_records
+    for n in range(start, stop - 1):
+        v = record_rung(n) if try_records else None
+        if v is None:
+            terms = ([r[0] for r in w] for w in windows)
+            v = sign_of_log_combination(
+                LogCombination.from_pairs(_window_pairs(n, terms)), engine)
+        # near-ties come in runs: after an escalation, start on the ladder
+        try_records = use_records and not v.escalations
+        yield n, v
+        if n < stop - 2:
+            for w, it in zip(windows, iters):
+                w.append(next(it))
+
+
+def check_monotone(
+    spec: Sequence,
+    start: int,
+    stop: int,
+    direction: Direction,
+    engine: Engine = DEFAULT_ENGINE,
+) -> MonotonicityReport:
+    """Scan ratio steps n = start..stop-2 against the claimed direction.
+
+    Indices whose verdict contradicts the direction (including an exact tie)
+    are violations; Undecided indices are reported separately and also defeat
+    certification.
+    """
+    expected = Ordering.GREATER if direction is Direction.DECREASING else Ordering.LESS
+    violations: list[int] = []
+    undecided: list[int] = []
+
+    def tally() -> Iterator[Verdict]:
+        for n, v in ratio_step_verdicts(spec, start, stop, engine):
             if v.ordering is Ordering.UNDECIDED:
                 undecided.append(n)
             elif v.ordering is not expected:
                 violations.append(n)
             yield v
-            if n < stop - 2:
-                for w, it in zip(windows, iters):
-                    w.append(next(it))
 
-    stats = MethodStats.of(verdicts())
+    stats = MethodStats.of(tally())
     return MonotonicityReport(
         sequence=spec.name,
         start=start,
@@ -553,12 +569,25 @@ def ratio_table(
 ) -> list[tuple[int, DyadicInterval]]:
     """Enclosures of ln r_n = (n ln a_{n+1} - (n+1) ln a_n) / (n(n+1)) at given indices."""
     _check_bits(bits)
+    # each run of indices streams its terms once, skipping the terms between
+    # the indices it asks for.  A run ends where the indices fall, or where
+    # one more than doubles: computing a term of index n from scratch costs at
+    # most O(n) steps (derangements, harmonic numbers; a Lucas term costs its
+    # matrix power), so there it is cheaper to start over than to stream the gap.
+    runs: list[list[int]] = []
+    for n in indices:
+        if runs and runs[-1][-1] <= n <= 2 * runs[-1][-1]:
+            runs[-1].append(n)
+        else:
+            runs.append([n])
     rows = []
-    # each run of consecutive indices streams its terms once
-    for _, run in groupby(enumerate(indices), key=lambda p: p[1] - p[0]):
-        ns = [n for _, n in run]
-        spec._validate_index(ns[0])
-        for n, (a0, a1) in zip(ns, pairwise(spec.terms(ns[0], ns[-1] + 1))):
+    for run in runs:
+        spec._validate_index(run[0])
+        steps = enumerate(pairwise(spec.terms(run[0], run[-1] + 1)), run[0])
+        k, (a0, a1) = next(steps)
+        for n in run:
+            while k < n:
+                k, (a0, a1) = next(steps)
             comb = LogCombination.from_pairs([(n, a1), (-(n + 1), a0)])
             rows.append((n, evaluate_combination(comb, bits, divisor=n * (n + 1))))
     return rows

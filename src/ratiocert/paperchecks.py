@@ -22,6 +22,13 @@ cap_bits) and stop at the first rung that decides them.  Every CheckResult
 carries a MethodStats record of the verdicts behind it: one interval verdict
 for a single-ladder check, every verdict reached for a window or a range.
 The record is not part of the JSON document; the CLI sums it into `stats`.
+
+The derangement and harmonic windows stream their steps from
+compare.ratio_step_verdicts, as a scan does, and stop at the first step
+that is not as claimed.  The prime-ratio range decides each instance on the
+lower end of the refinement margin at the first rung; only an instance that
+end leaves uncertified runs the two-sided check_prime_ratio_refinement,
+whose result is then the one reported.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .compare import (
     cmp_roots,
     ratio_step_combination,
     ratio_step_verdict,
+    ratio_step_verdicts,
 )
 from .numerics import (
     _KERNEL_EXTRA_BITS,
@@ -324,10 +332,9 @@ def check_unit_discriminant_tail(
 
 def check_derangement_window(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """Ratio steps of the derangement numbers are decreasing for 3 <= n <= 26."""
-    seq = Derangement()
     return _verdict_run(
         "derangement-window",
-        (({"n": n}, ratio_step_verdict(seq, n, engine)) for n in range(3, 27)),
+        (({"n": n}, v) for n, v in ratio_step_verdicts(Derangement(), 3, 28, engine)),
         Ordering.GREATER, {"range": [3, 26]},
     )
 
@@ -437,8 +444,8 @@ def check_harmonic_window(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """Harmonic ratio steps are increasing for every m in 1..10, n in 3..29."""
     return _verdict_run(
         "harmonic-window",
-        (({"m": m, "n": n}, ratio_step_verdict(Harmonic(m), n, engine))
-         for m in range(1, 11) for n in range(3, 30)),
+        (({"m": m, "n": n}, v) for m in range(1, 11)
+         for n, v in ratio_step_verdicts(Harmonic(m), 3, 31, engine)),
         Ordering.LESS, {"grid": "m=1..10, n=3..29"},
     )
 
@@ -485,6 +492,16 @@ def check_prime_ratio_refinement(n: int, engine: Engine = DEFAULT_ENGINE) -> Che
     return _strict_sign_check(f"prime-ratio-refinement(n={n})", witness, margin, engine)
 
 
+def _refinement_margin_lo(n: int, p: int, p_next: int, bits: int) -> int:
+    # the lower end of check_prime_ratio_refinement's margin at bits, from the
+    # upper end of ln ln n, the lower end of ln(1 - u) and the upper end of ln LHS
+    w = bits + _KERNEL_EXTRA_BITS
+    ll_hi = _ln_fixed(_ln_fixed(n, 0, bits)[1], -w, bits)[1]
+    r_lo = _ln_fixed((1 << w) + (-ll_hi // (2 * n * n)), -w, bits)[0]
+    s_hi = n * _ln_fixed(p_next, 0, bits)[1] - (n + 1) * _ln_fixed(p, 0, bits)[0]
+    return r_lo - -(-s_hi // (n * (n + 1)))  # the ceiling, as in _combination_fixed
+
+
 def check_firoozbakht_range(start: int, stop: int,
                             engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """Aggregate Firoozbakht instances for start <= n <= stop."""
@@ -499,12 +516,27 @@ def check_firoozbakht_range(start: int, stop: int,
 
 def check_prime_ratio_range(start: int, stop: int,
                             engine: Engine = DEFAULT_ENGINE) -> CheckResult:
-    """Aggregate refinement instances for start <= n <= stop."""
+    """Aggregate refinement instances for start <= n <= stop.
+
+    An instance whose margin's lower end is positive at the first rung is
+    certified there, as check_prime_ratio_refinement would certify it, and
+    no detail is built for it; any other instance runs that check.
+    """
     if start < 3:
         raise ValueError(f"needs start >= 3, got {start}")
     _ensure_prime_count(stop + 1)
+    bits = engine.rungs[0]
+    # stands for every instance certified on the first rung; the range reads
+    # only its status and stats
+    first_rung = CheckResult("", CheckStatus.CERTIFIED, None, {}, _ladder_stats(bits, 0, False))
+
+    def instance(n: int, engine: Engine) -> CheckResult:
+        if _refinement_margin_lo(n, nth_prime(n), nth_prime(n + 1), bits) > 0:
+            return first_rung
+        return check_prime_ratio_refinement(n, engine)
+
     return _aggregate_range(
-        f"prime-ratio-range({start}..{stop})", check_prime_ratio_refinement,
+        f"prime-ratio-range({start}..{stop})", instance,
         range(start, stop + 1), engine, range=[start, stop],
     )
 

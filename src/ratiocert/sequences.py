@@ -173,7 +173,9 @@ def _ensure_squarefree_count(count: int) -> None:
     with _SF_LOCK:
         while len(_SF_SUMS) <= count:
             lo = _SF_NEXT
-            hi = lo + _SEGMENT
+            # squarefree integers have density 6/pi^2 > 4/7, so a segment 7/4
+            # as wide as the sums still missing nearly always supplies them
+            hi = lo + min(_SEGMENT, (count + 1 - len(_SF_SUMS)) * 7 // 4 + 64)
             flags = bytearray([1]) * (hi - lo)
             for p in _simple_sieve(math.isqrt(hi - 1)):
                 sq = p * p

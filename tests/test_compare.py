@@ -559,6 +559,23 @@ class TestRatioTable:
         assert ratio_table(Derangement(), range(2, 300)) == [expected(n) for n in range(2, 300)]
         indices = [9, 7, 8, 8, 3, 4, 5, 2]
         assert ratio_table(Derangement(), indices, 256) == [expected(n, 256) for n in indices]
+        # a stepped range and runs with gaps also stream: only the first term of
+        # a run is computed from scratch, and a run ends where an index falls
+        # or more than doubles
+        from ratiocert import sequences
+
+        starts = []
+
+        def first_term(n):
+            starts.append(n)
+            return derangement_term(n)
+
+        monkeypatch.setattr(sequences, "derangement_term", first_term)
+        assert ratio_table(Derangement(), range(2, 300, 7)) == [
+            expected(n) for n in range(2, 300, 7)]
+        indices = [40, 40, 52, 90, 3, 3, 17, 60, 5]
+        assert ratio_table(Derangement(), indices) == [expected(n) for n in indices]
+        assert starts == [2, 9, 40, 3, 17, 60, 5]
 
     def test_harmonic_definite_sign(self):
         (_, enc), = ratio_table(Harmonic(1), [10])

@@ -6,10 +6,13 @@ import pytest
 
 from ratiocert import paperchecks
 from ratiocert.compare import (
+    DEFAULT_ENGINE,
     Engine,
     LogCombination,
+    MethodStats,
     evaluate_combination,
     ratio_step_combination,
+    ratio_step_verdict,
 )
 from ratiocert.paperchecks import (
     CheckResult,
@@ -35,8 +38,10 @@ from ratiocert.paperchecks import (
     constants_suite,
     paper_suite,
 )
-from ratiocert.numerics import NonPositiveArgument
+from ratiocert.numerics import NonPositiveArgument, Ordering
 from ratiocert.sequences import (
+    Derangement,
+    Harmonic,
     InvalidParameters,
     Lucas,
     harmonic_term,
@@ -274,6 +279,112 @@ class TestSuite:
             doc = r.to_json()
             json.dumps(doc)
             assert doc["name"] and doc["status"] == "certified"
+
+
+HARMONIC_WINDOW = ("harmonic-window", check_harmonic_window, Ordering.LESS,
+                   {"grid": "m=1..10, n=3..29"},
+                   [({"m": m, "n": n}, Harmonic(m), n) for m in range(1, 11) for n in range(3, 30)])
+DERANGEMENT_WINDOW = ("derangement-window", check_derangement_window, Ordering.GREATER,
+                      {"range": [3, 26]}, [({"n": n}, Derangement(), n) for n in range(3, 27)])
+
+
+def _window_by_steps(name, expected, region, grid, engine):
+    # a window check assembled from ratio_step_verdict, one step at a time
+    verdicts = []
+    for witness, spec, n in grid:
+        verdicts.append(ratio_step_verdict(spec, n, engine))
+        if verdicts[-1].ordering is not expected:
+            break
+    stats = MethodStats.of(verdicts)
+    counts = {"exact": stats.exact, "interval": stats.interval, "max_bits": stats.max_bits}
+    ordering = verdicts[-1].ordering
+    if ordering is expected:
+        return CheckResult(name, CheckStatus.CERTIFIED, None, {**counts, **region}, stats)
+    status = CheckStatus.UNDECIDED if ordering is Ordering.UNDECIDED else CheckStatus.REFUTED
+    return CheckResult(name, status, witness, {**counts, "ordering": ordering.value}, stats)
+
+
+def _prime_range_by_instances(start, stop, engine):
+    # prime-ratio-range assembled from check_prime_ratio_refinement, one n at a time
+    name = f"prime-ratio-range({start}..{stop})"
+    stats = MethodStats()
+    for n in range(start, stop + 1):
+        out = check_prime_ratio_refinement(n, engine)
+        stats = stats.merged(out.stats)
+        if out.status is not CheckStatus.CERTIFIED:
+            return CheckResult(name, out.status, {"n": n}, out.detail, stats)
+    detail = {"range": [start, stop], "checked": stop - start + 1,
+              "max_bits": stats.max_bits, "method": "interval"}
+    return CheckResult(name, CheckStatus.CERTIFIED, None, detail, stats)
+
+
+class TestStreamedWindowsAndRange:
+    """The windows stream their steps and the prime-ratio range decides most
+    instances on the lower end of the margin; each must report what the
+    public per-step and per-instance checks report."""
+
+    @pytest.mark.parametrize("engine", [
+        DEFAULT_ENGINE,
+        Engine(start_bits=16),
+        Engine(mode="interval"),
+        Engine(mode="exact", exact_budget=1 << 40),
+    ], ids=repr)
+    def test_suite_equals_the_public_checks(self, engine, monkeypatch):
+        horizon = 3500  # at 16 bits the first margins to straddle zero are near 3400
+        fallbacks = []
+        refinement = paperchecks.check_prime_ratio_refinement
+
+        def counting(n, engine):
+            fallbacks.append(n)
+            return refinement(n, engine)
+
+        monkeypatch.setattr(paperchecks, "check_prime_ratio_refinement", counting)
+        results = {r.name: r for r in paper_suite(
+            prime_horizon=horizon, offset_max=10, stirling_max=10, engine=engine)}
+        for name, _, expected, region, grid in (HARMONIC_WINDOW, DERANGEMENT_WINDOW):
+            assert results[name] == _window_by_steps(name, expected, region, grid, engine)
+        name = f"prime-ratio-range(5..{horizon})"
+        assert results[name] == _prime_range_by_instances(5, horizon, engine)
+        assert results[name].status is CheckStatus.CERTIFIED
+        assert bool(fallbacks) == (engine.start_bits == 16)
+
+    def test_harmonic_window_sums_each_order_once(self, monkeypatch):
+        from ratiocert import sequences
+
+        orders = []
+
+        def counting(m, n):
+            orders.append(m)
+            return harmonic_term(m, n)
+
+        monkeypatch.setattr(sequences, "harmonic_term", counting)
+        assert check_harmonic_window().status is CheckStatus.CERTIFIED
+        assert len(orders) == len(set(orders)) <= 10
+
+    def test_certified_range_builds_no_instance_detail(self, monkeypatch):
+        def no_floats(*args):
+            raise AssertionError("_ivf called")
+
+        monkeypatch.setattr(paperchecks, "_ivf", no_floats)
+        assert check_prime_ratio_range(5, 2000).status is CheckStatus.CERTIFIED
+
+    @pytest.mark.parametrize("window", [HARMONIC_WINDOW, DERANGEMENT_WINDOW],
+                             ids=lambda w: w[0])
+    @pytest.mark.parametrize("engine, flipped", [
+        (DEFAULT_ENGINE, True),  # refuted at the first step
+        (Engine(mode="exact", exact_budget=3000), False),  # undecided part-way
+    ], ids=["flipped-ordering", "small-exact-budget"])
+    def test_failing_window_stops_where_the_steps_do(self, window, engine, flipped, monkeypatch):
+        name, check, expected, region, grid = window
+        if flipped:
+            expected = Ordering.GREATER if expected is Ordering.LESS else Ordering.LESS
+            run = paperchecks._verdict_run
+            monkeypatch.setattr(paperchecks, "_verdict_run",
+                                lambda name, steps, _, region: run(name, steps, expected, region))
+        out = check(engine)
+        assert out.status is not CheckStatus.CERTIFIED
+        assert (out.witness == grid[0][0]) == flipped
+        assert out == _window_by_steps(name, expected, region, grid, engine)
 
 
 def _unit_tail_margin(mp, n):

@@ -219,6 +219,24 @@ class TestSquarefree:
             total += k
             assert squarefree_sum(idx) == total
 
+    def test_batches_sieve_only_what_they_ask_for(self, monkeypatch):
+        # from an empty table, each batch extends it by about the sums it is
+        # missing; the sums equal a brute-force count to 2000
+        from ratiocert import sequences
+
+        monkeypatch.setattr(sequences, "_SF_SUMS", [0])
+        monkeypatch.setattr(sequences, "_SF_NEXT", 1)
+        brute = [0]
+        k = 0
+        while len(brute) <= 2000:
+            k += 1
+            if all(k % (d * d) for d in range(2, math.isqrt(k) + 1)):
+                brute.append(brute[-1] + k)
+        for count in (1, 5, 6, 37, 400, 401, 1500, 2000):
+            assert squarefree_sum(count) == brute[count]
+            assert sequences._SF_SUMS[:count + 1] == brute[:count + 1]
+            assert len(sequences._SF_SUMS) <= 2 * count + 128, count
+
     def test_streaming(self):
         s = SquarefreeSum()
         assert list(s.terms(1, 50)) == [s.term(n) for n in range(1, 51)]
