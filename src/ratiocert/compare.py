@@ -569,14 +569,14 @@ def ratio_table(
 ) -> list[tuple[int, DyadicInterval]]:
     """Enclosures of ln r_n = (n ln a_{n+1} - (n+1) ln a_n) / (n(n+1)) at given indices."""
     _check_bits(bits)
-    # each run of indices streams its terms once, skipping the terms between
-    # the indices it asks for.  A run ends where the indices fall, or where
-    # one more than doubles: computing a term of index n from scratch costs at
-    # most O(n) steps (derangements, harmonic numbers; a Lucas term costs its
-    # matrix power), so there it is cheaper to start over than to stream the gap.
+    # each run of indices streams its terms once.  A run goes on through a
+    # repeated or the next index, and through any rising gap for a family
+    # whose term(n) walks from the start anyway.  Elsewhere (a Lucas term
+    # costs O(log n) multiplications, a prime or squarefree sum is a lookup)
+    # a gap starts a new run.
     runs: list[list[int]] = []
     for n in indices:
-        if runs and runs[-1][-1] <= n <= 2 * runs[-1][-1]:
+        if runs and 0 <= n - runs[-1][-1] and (spec.term_walks or n - runs[-1][-1] <= 1):
             runs[-1].append(n)
         else:
             runs.append([n])

@@ -61,7 +61,6 @@ from .numerics import (
     _e_fixed,
     _fixed_rational,
     _ln_fixed,
-    _ln_scaled,
     _mul_fixed,
     _pow_fixed,
 )
@@ -482,12 +481,13 @@ def check_prime_ratio_refinement(n: int, engine: Engine = DEFAULT_ENGINE) -> Che
 
     def margin(bits: int) -> tuple[int, int, int]:
         # certify LHS < RHS by showing ln(1 - u) - ln LHS > 0, u = ln ln n / (2n^2),
-        # on integer endpoints at the ln kernel's one scale
-        one = _fixed_rational(1, bits)[0]
-        ll_lo, ll_hi = _ln_scaled(*_ln_fixed(n, 0, bits), bits)
-        r_lo, r_hi = _ln_scaled(one + (-ll_hi // k), one - ll_lo // k, bits)
-        s_lo, s_hi = _combination_fixed(lhs, bits, 0, n * (n + 1))
-        return r_lo - s_hi, r_hi - s_lo, bits
+        # on integer endpoints at the ln kernel's one scale; the upper end
+        # mirrors _refinement_margin_lo, whose kernel calls are cached
+        w = bits + _KERNEL_EXTRA_BITS
+        ll_lo = _ln_fixed(_ln_fixed(n, 0, bits)[0], -w, bits)[0]
+        r_hi = _ln_fixed((1 << w) - ll_lo // k, -w, bits)[1]
+        s_lo = _combination_fixed(lhs, bits, 0, n * (n + 1))[0]
+        return _refinement_margin_lo(n, p, p_next, bits), r_hi - s_lo, bits
 
     return _strict_sign_check(f"prime-ratio-refinement(n={n})", witness, margin, engine)
 

@@ -174,8 +174,11 @@ def _ensure_squarefree_count(count: int) -> None:
         while len(_SF_SUMS) <= count:
             lo = _SF_NEXT
             # squarefree integers have density 6/pi^2 > 4/7, so a segment 7/4
-            # as wide as the sums still missing nearly always supplies them
-            hi = lo + min(_SEGMENT, (count + 1 - len(_SF_SUMS)) * 7 // 4 + 64)
+            # as wide as the sums still missing nearly always supplies them;
+            # it is never narrower than the table, so one-at-a-time callers
+            # see the table grow geometrically
+            missing = count + 1 - len(_SF_SUMS)
+            hi = lo + min(_SEGMENT, max(missing * 7 // 4 + 64, len(_SF_SUMS)))
             flags = bytearray([1]) * (hi - lo)
             for p in _simple_sieve(math.isqrt(hi - 1)):
                 sq = p * p
@@ -206,6 +209,10 @@ class Sequence:
     """Base for positive exact sequences; subclasses set domain_start and name."""
 
     domain_start: int = 1
+    # True when term(n) walks the recurrence from the domain start, so that
+    # streaming through indices nobody asked for costs no more than computing
+    # the next asked-for term afresh
+    term_walks: bool = False
 
     @property
     def name(self) -> str:
@@ -260,6 +267,7 @@ def fibonacci() -> Lucas:
 @dataclass(frozen=True)
 class Derangement(Sequence):
     domain_start = 2
+    term_walks = True
 
     @property
     def name(self) -> str:
@@ -282,6 +290,7 @@ class Derangement(Sequence):
 @dataclass(frozen=True)
 class Harmonic(Sequence):
     m: int
+    term_walks = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 1:
@@ -345,6 +354,10 @@ class Product(Sequence):
     @property
     def domain_start(self) -> int:  # type: ignore[override]
         return max(self.left.domain_start, self.right.domain_start)
+
+    @property
+    def term_walks(self) -> bool:  # type: ignore[override]
+        return self.left.term_walks and self.right.term_walks
 
     @property
     def name(self) -> str:

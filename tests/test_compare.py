@@ -559,9 +559,9 @@ class TestRatioTable:
         assert ratio_table(Derangement(), range(2, 300)) == [expected(n) for n in range(2, 300)]
         indices = [9, 7, 8, 8, 3, 4, 5, 2]
         assert ratio_table(Derangement(), indices, 256) == [expected(n, 256) for n in indices]
-        # a stepped range and runs with gaps also stream: only the first term of
-        # a run is computed from scratch, and a run ends where an index falls
-        # or more than doubles
+        # a stepped range and runs with gaps also stream, since a derangement
+        # term walks from the start anyway: only the first term of a run is
+        # computed from scratch, and a run ends where an index falls
         from ratiocert import sequences
 
         starts = []
@@ -575,7 +575,31 @@ class TestRatioTable:
             expected(n) for n in range(2, 300, 7)]
         indices = [40, 40, 52, 90, 3, 3, 17, 60, 5]
         assert ratio_table(Derangement(), indices) == [expected(n) for n in indices]
-        assert starts == [2, 9, 40, 3, 17, 60, 5]
+        assert starts == [2, 40, 3, 5]
+
+    def test_lucas_gaps_start_new_runs(self, monkeypatch):
+        # a Lucas term costs O(log n) multiplications, so a gap of more than
+        # one index starts a new run at its own term instead of streaming it
+        from ratiocert import sequences
+        from ratiocert.sequences import _lucas_pair
+
+        def expected(n):
+            a0, a1 = _lucas_pair(1, -1, n)
+            comb = LogCombination.from_pairs([(n, a1), (-(n + 1), a0)])
+            return n, evaluate_combination(comb, 128, divisor=n * (n + 1))
+
+        starts = []
+
+        def counting(a, b, n):
+            starts.append(n)
+            return _lucas_pair(a, b, n)
+
+        monkeypatch.setattr(sequences, "_lucas_pair", counting)
+        indices = [*range(1, 3000, 100), 7, 8, 8, 9, 400]
+        assert ratio_table(fibonacci(), indices) == [expected(n) for n in indices]
+        assert starts == [*range(1, 3000, 100), 7, 400]
+        assert not Product(fibonacci(), Derangement()).term_walks
+        assert Product(Harmonic(2), Derangement()).term_walks
 
     def test_harmonic_definite_sign(self):
         (_, enc), = ratio_table(Harmonic(1), [10])

@@ -323,14 +323,14 @@ class TestStreamedWindowsAndRange:
     instances on the lower end of the margin; each must report what the
     public per-step and per-instance checks report."""
 
-    @pytest.mark.parametrize("engine", [
-        DEFAULT_ENGINE,
-        Engine(start_bits=16),
-        Engine(mode="interval"),
-        Engine(mode="exact", exact_budget=1 << 40),
+    @pytest.mark.parametrize("engine, horizon", [
+        (DEFAULT_ENGINE, 400),
+        # at 16 bits the first margins to straddle zero are near n = 3400
+        (Engine(start_bits=16), 3500),
+        (Engine(mode="interval"), 400),
+        (Engine(mode="exact", exact_budget=1 << 40), 400),
     ], ids=repr)
-    def test_suite_equals_the_public_checks(self, engine, monkeypatch):
-        horizon = 3500  # at 16 bits the first margins to straddle zero are near 3400
+    def test_suite_equals_the_public_checks(self, engine, horizon, monkeypatch):
         fallbacks = []
         refinement = paperchecks.check_prime_ratio_refinement
 

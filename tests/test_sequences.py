@@ -221,7 +221,8 @@ class TestSquarefree:
 
     def test_batches_sieve_only_what_they_ask_for(self, monkeypatch):
         # from an empty table, each batch extends it by about the sums it is
-        # missing; the sums equal a brute-force count to 2000
+        # missing or the table's length, whichever is more; the sums equal a
+        # brute-force count to 2000
         from ratiocert import sequences
 
         monkeypatch.setattr(sequences, "_SF_SUMS", [0])
@@ -236,6 +237,20 @@ class TestSquarefree:
             assert squarefree_sum(count) == brute[count]
             assert sequences._SF_SUMS[:count + 1] == brute[:count + 1]
             assert len(sequences._SF_SUMS) <= 2 * count + 128, count
+        # asked one sum at a time, the table grows geometrically: few segments
+        monkeypatch.setattr(sequences, "_SF_SUMS", [0])
+        monkeypatch.setattr(sequences, "_SF_NEXT", 1)
+        segments = []
+        sieve = sequences._simple_sieve
+
+        def counting(limit):
+            segments.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(sequences, "_simple_sieve", counting)
+        for count in range(1, 2001):
+            assert squarefree_sum(count) == brute[count]
+        assert len(segments) <= 16
 
     def test_streaming(self):
         s = SquarefreeSum()
