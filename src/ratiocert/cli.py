@@ -1,8 +1,10 @@
 """Command-line front end: scans, empirical start search, check suite, tables.
 
-Exit codes: 0 certified / all checks passed, 1 violations or refuted checks,
-2 undecided results present, 64 usage errors.  Output formats are text,
-json (schema_version 2), and csv; all UTF-8 with LF line endings.
+Every command writes its report through `_report` and takes its exit code
+from `_exit_code`: 0 certified / all checks passed, 1 violations or refuted
+checks, 2 undecided results present, 64 usage errors, among them an `--out`
+path that cannot be written.  Output formats are text, json (schema_version
+2), and csv; all UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional
 
 from .compare import (
     DEFAULT_ENGINE,
@@ -108,30 +108,7 @@ def parse_sequence_token(text: str) -> Sequence:
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    fmt: str
-    out: Optional[str]
-    engine: Engine
-    jobs: int
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "format": self.fmt,
-            "precision_cap": self.engine.cap_bits,
-            "exact_budget": self.engine.exact_budget,
-            "start_bits": self.engine.start_bits,
-            "jobs": self.jobs,
-            **self.extra,
-        }
+# engine, timing and the one report path
 
 
 # Engine's messages name its fields; a user typed the flags
@@ -140,9 +117,6 @@ _FLAGS = {"start_bits": "--start-bits", "cap_bits": "--precision-cap",
 
 
 def _engine(args: argparse.Namespace) -> Engine:
-    # table has no ladder: neither the flags nor the environment reach it
-    if not hasattr(args, "precision_cap"):
-        return DEFAULT_ENGINE
     cap = args.precision_cap
     if cap is None:
         env = os.environ.get(ENV_MAX_BITS, str(DEFAULT_ENGINE.cap_bits))
@@ -161,41 +135,46 @@ def _engine(args: argparse.Namespace) -> Engine:
         raise UsageError(message) from exc
 
 
-def _config(args: argparse.Namespace, **extra) -> RunConfig:
-    return RunConfig(args.format, args.out, _engine(args),
-                     getattr(args, "jobs", 1), extra)
+def _timed(fn, *args, **kwargs):
+    # (fn's result, its wall time in whole milliseconds)
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, int((time.perf_counter() - t0) * 1000)
 
 
-# ---------------------------------------------------------------------------
-# report emission
+def _exit_code(failed, undecided) -> int:
+    return EXIT_VIOLATIONS if failed else EXIT_UNDECIDED if undecided else EXIT_OK
 
 
-def _emit(doc: dict, lines: list[str], csv_rows: list[list], cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        payload = json.dumps(doc, indent=2, sort_keys=False) + "\n"
-    elif cfg.fmt == "csv":
+def _report(args: argparse.Namespace, engine: Engine, config_extra: dict, results: list,
+            violations: list, undecided: list, stats: MethodStats, wall_ms: int,
+            lines: list[str], csv_rows: list[list]) -> None:
+    """Write the command's report in --format to --out or stdout."""
+    if args.format == "json":
+        config = {
+            "format": args.format,
+            "precision_cap": engine.cap_bits,
+            "exact_budget": engine.exact_budget,
+            "start_bits": engine.start_bits,
+            "jobs": getattr(args, "jobs", 1),
+            **config_extra,
+        }
+        doc = {"schema_version": 2, "command": args.command, "config": config,
+               "results": results, "violations": violations, "undecided": undecided,
+               "stats": stats.to_json(), "wall_ms": wall_ms}
+        payload = json.dumps(doc, indent=2) + "\n"
+    elif args.format == "csv":
         payload = "\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n"
     else:
         payload = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
+    if not args.out:
         sys.stdout.write(payload)
-
-
-def _doc(command: str, cfg: RunConfig, results: list, violations: list,
-         undecided: list, stats: dict, wall_ms: int) -> dict:
-    return {
-        "schema_version": 2,
-        "command": command,
-        "config": cfg.to_json(),
-        "results": results,
-        "violations": violations,
-        "undecided": undecided,
-        "stats": stats,
-        "wall_ms": wall_ms,
-    }
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out!r} cannot be written: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +186,18 @@ def _scan_block(payload) -> MonotonicityReport:
 
 
 def _run_scan(seq: Sequence, start: int, stop: int, direction: Direction,
-              cfg: RunConfig) -> MonotonicityReport:
+              engine: Engine, jobs: int) -> MonotonicityReport:
     window_count = stop - 1 - start
-    jobs = min(cfg.jobs, max(1, window_count // 8))
+    jobs = min(jobs, max(1, window_count // 8))
     if jobs <= 1:
-        return check_monotone(seq, start, stop, direction, cfg.engine)
+        return check_monotone(seq, start, stop, direction, engine)
     from concurrent.futures import ProcessPoolExecutor  # only a sharded scan pays its import
     block = -(-window_count // jobs)
     payloads = []
     n = start
     while n <= stop - 2:
         n_hi = min(n + block - 1, stop - 2)
-        payloads.append((seq, n, n_hi + 2, direction, cfg.engine))
+        payloads.append((seq, n, n_hi + 2, direction, engine))
         n = n_hi + 1
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_scan_block, payloads))
@@ -229,10 +208,6 @@ def _run_scan(seq: Sequence, start: int, stop: int, direction: Direction,
 # commands
 
 
-def _direction(args: argparse.Namespace) -> Direction:
-    return Direction(args.direction)
-
-
 def _stats_line(stats: MethodStats) -> str:
     # the JSON `stats` keys, in the same order
     return "stats: " + " ".join(f"{k}={v}" for k, v in stats.to_json().items())
@@ -240,31 +215,19 @@ def _stats_line(stats: MethodStats) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     seq = parse_sequence_token(args.seq)
-    cfg = _config(args, seq=seq.name, start=args.start, stop=args.stop, direction=args.direction)
+    engine = _engine(args)
     if args.start < seq.domain_start:
         raise UsageError(
             f"--from {args.start} is below the first index {seq.domain_start} of {seq.name}"
         )
     if args.stop < args.start + 2:
         raise UsageError("--to must be at least --from + 2")
-    t0 = time.perf_counter()
-    report = _run_scan(seq, args.start, args.stop, _direction(args), cfg)
-    wall_ms = int((time.perf_counter() - t0) * 1000)
+    report, wall_ms = _timed(_run_scan, seq, args.start, args.stop,
+                             Direction(args.direction), engine, args.jobs)
     certified = report.certified()
-    results = [
-        {
-            "sequence": report.sequence,
-            "from": report.start,
-            "to": report.stop,
-            "direction": report.direction.value,
-            "min_valid_start": report.min_valid_start,
-            "certified": certified,
-        }
-    ]
-    doc = _doc(
-        "check", cfg, results, list(report.violations), list(report.undecided),
-        report.stats.to_json(), wall_ms,
-    )
+    results = [{"sequence": report.sequence, "from": report.start, "to": report.stop,
+                "direction": report.direction.value,
+                "min_valid_start": report.min_valid_start, "certified": certified}]
     lines = [
         f"check {report.sequence} direction={report.direction.value} "
         f"steps n={report.start}..{report.stop - 2}",
@@ -278,36 +241,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     csv_rows = [["n", "kind"]]
     csv_rows += [[n, "violation"] for n in report.violations]
     csv_rows += [[n, "undecided"] for n in report.undecided]
-    _emit(doc, lines, csv_rows, cfg)
-    if report.violations:
-        return EXIT_VIOLATIONS
-    if report.undecided:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    _report(args, engine,
+            dict(seq=seq.name, start=args.start, stop=args.stop, direction=args.direction),
+            results, list(report.violations), list(report.undecided), report.stats, wall_ms,
+            lines, csv_rows)
+    return _exit_code(report.violations, report.undecided)
 
 
 def cmd_find_start(args: argparse.Namespace) -> int:
     seq = parse_sequence_token(args.seq)
-    cfg = _config(args, seq=seq.name, horizon=args.horizon, direction=args.direction)
+    engine = _engine(args)
     if args.horizon < seq.domain_start + 2:
         raise UsageError(f"--horizon must be at least {seq.domain_start + 2}")
-    t0 = time.perf_counter()
-    report = _run_scan(seq, seq.domain_start, args.horizon, _direction(args), cfg)
-    wall_ms = int((time.perf_counter() - t0) * 1000)
+    report, wall_ms = _timed(_run_scan, seq, seq.domain_start, args.horizon,
+                             Direction(args.direction), engine, args.jobs)
     n_start = min_start_from_report(report)
-    results = [
-        {
-            "sequence": report.sequence,
-            "horizon": args.horizon,
-            "direction": report.direction.value,
-            "min_start": n_start,
-            "note": "empirical up to horizon; no claim beyond it",
-        }
-    ]
-    doc = _doc(
-        "find-start", cfg, results, list(report.violations), list(report.undecided),
-        report.stats.to_json(), wall_ms,
-    )
+    results = [{"sequence": report.sequence, "horizon": args.horizon,
+                "direction": report.direction.value, "min_start": n_start,
+                "note": "empirical up to horizon; no claim beyond it"}]
     if n_start is None:
         headline = f"no valid start: violations persist to the horizon {args.horizon}"
     else:
@@ -326,32 +277,20 @@ def cmd_find_start(args: argparse.Namespace) -> int:
     ]
     csv_rows = [["sequence", "horizon", "min_start"],
                 [report.sequence, args.horizon, n_start if n_start is not None else ""]]
-    _emit(doc, lines, csv_rows, cfg)
-    if n_start is None:
-        return EXIT_VIOLATIONS
-    if report.undecided:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    _report(args, engine, dict(seq=seq.name, horizon=args.horizon, direction=args.direction),
+            results, list(report.violations), list(report.undecided), report.stats, wall_ms,
+            lines, csv_rows)
+    return _exit_code(n_start is None, report.undecided)
 
 
 def cmd_paper_suite(args: argparse.Namespace) -> int:
-    cfg = _config(args, prime_horizon=args.prime_horizon, offset_max=args.offset_max,
-                  stirling_max=args.stirling_max)
-    t0 = time.perf_counter()
-    checks = paper_suite(
-        prime_horizon=args.prime_horizon,
-        offset_max=args.offset_max,
-        stirling_max=args.stirling_max,
-        engine=cfg.engine,
-    )
-    wall_ms = int((time.perf_counter() - t0) * 1000)
+    engine = _engine(args)
+    sizes = dict(prime_horizon=args.prime_horizon, offset_max=args.offset_max,
+                 stirling_max=args.stirling_max)
+    checks, wall_ms = _timed(paper_suite, **sizes, engine=engine)
     refuted = [c.name for c in checks if c.status is CheckStatus.REFUTED]
     undecided = [c.name for c in checks if c.status is CheckStatus.UNDECIDED]
     total = reduce(MethodStats.merged, (c.stats for c in checks), MethodStats())
-    doc = _doc(
-        "paper-suite", cfg, [c.to_json() for c in checks], refuted, undecided,
-        total.to_json(), wall_ms,
-    )
     lines = []
     for c in checks:
         margin = c.detail.get("margin")
@@ -364,16 +303,10 @@ def cmd_paper_suite(args: argparse.Namespace) -> int:
         f"{len(undecided)} undecided, wall_ms={wall_ms}"
     )
     csv_rows = [["name", "status", "bits"]]
-    csv_rows += [
-        [c.name, c.status.value, c.stats.max_bits or ""]
-        for c in checks
-    ]
-    _emit(doc, lines, csv_rows, cfg)
-    if refuted:
-        return EXIT_VIOLATIONS
-    if undecided:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    csv_rows += [[c.name, c.status.value, c.stats.max_bits or ""] for c in checks]
+    _report(args, engine, sizes, [c.to_json() for c in checks], refuted, undecided, total,
+            wall_ms, lines, csv_rows)
+    return _exit_code(refuted, undecided)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -393,10 +326,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise UsageError("empty index list")
     if min(indices) < seq.domain_start:
         raise UsageError(f"indices must be >= {seq.domain_start} for {seq.name}")
-    cfg = _config(args, seq=seq.name, indices=indices, bits=args.bits)
-    t0 = time.perf_counter()
-    rows = ratio_table(seq, indices, args.bits)
-    wall_ms = int((time.perf_counter() - t0) * 1000)
+    rows, wall_ms = _timed(ratio_table, seq, indices, args.bits)
     results = [
         {
             "n": n,
@@ -408,8 +338,6 @@ def cmd_table(args: argparse.Namespace) -> int:
         }
         for n, enc in rows
     ]
-    stats = MethodStats(interval=len(rows), max_bits=args.bits)
-    doc = _doc("table", cfg, results, [], [], stats.to_json(), wall_ms)
     lines = [f"ln r_n enclosures for {seq.name} at {args.bits} bits"]
     lines += [
         f"n={n:<8d} ln_r in [{float(enc.lo):+.12e}, {float(enc.hi):+.12e}]"
@@ -417,8 +345,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     ]
     csv_rows = [["n", "ln_r_lo", "ln_r_hi", "method"]]
     csv_rows += [[n, repr(float(enc.lo)), repr(float(enc.hi)), "interval"] for n, enc in rows]
-    _emit(doc, lines, csv_rows, cfg)
-    return EXIT_OK
+    # table has no ladder: neither the engine flags nor the environment reach it
+    _report(args, DEFAULT_ENGINE, dict(seq=seq.name, indices=indices, bits=args.bits),
+            results, [], [], MethodStats(interval=len(rows), max_bits=args.bits), wall_ms,
+            lines, csv_rows)
+    return _exit_code(False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +378,7 @@ def _add_common(p: argparse.ArgumentParser, *, engine: bool = True, jobs: bool =
     p.add_argument("--exact-budget", type=int, default=DEFAULT_ENGINE.exact_budget,
                    help="exact fallback size budget in bits (default %(default)s)")
     if jobs:
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1,
                        help="worker processes for range sharding")
 
 
@@ -511,10 +442,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidParameters, IndexBelowDomainStart) as exc:
+    except (UsageError, InvalidParameters, IndexBelowDomainStart) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -556,12 +556,8 @@ def find_min_start(
 
 
 def min_start_from_report(report: MonotonicityReport) -> Optional[int]:
-    if not report.violations:
-        return report.start
-    candidate = report.violations[-1] + 1
-    if candidate > report.stop - 2:
-        return None
-    return candidate
+    # None when the last violation is the last step scanned
+    return report.min_valid_start if report.min_valid_start <= report.stop - 2 else None
 
 
 def ratio_table(

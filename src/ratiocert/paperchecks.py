@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .compare import (
@@ -118,13 +117,6 @@ def _abs_fixed(lo: int, hi: int) -> tuple[int, int]:
     return 0, max(-lo, hi)
 
 
-@lru_cache(maxsize=256)
-def _ladder_stats(bits: int, escalations: int, undecided: bool) -> MethodStats:
-    # shared, since a range keeps thousands of results alive
-    return MethodStats(interval=1, undecided=int(undecided), max_bits=bits,
-                       escalations=escalations)
-
-
 def _certify(name: str, witness: Optional[dict],
              judge: Callable[[int], tuple[bool, bool, dict]], engine: Engine) -> CheckResult:
     # judge(bits) -> (certified, refuted, detail); the last rung run decides
@@ -136,7 +128,8 @@ def _certify(name: str, witness: Optional[dict],
               else CheckStatus.REFUTED if refuted else CheckStatus.UNDECIDED)
     return CheckResult(
         name, status, witness, {**detail, "bits": bits, "method": "interval"},
-        _ladder_stats(bits, escalations, status is CheckStatus.UNDECIDED),
+        MethodStats(interval=1, undecided=int(status is CheckStatus.UNDECIDED),
+                    max_bits=bits, escalations=escalations),
     )
 
 
@@ -528,7 +521,8 @@ def check_prime_ratio_range(start: int, stop: int,
     bits = engine.rungs[0]
     # stands for every instance certified on the first rung; the range reads
     # only its status and stats
-    first_rung = CheckResult("", CheckStatus.CERTIFIED, None, {}, _ladder_stats(bits, 0, False))
+    first_rung = CheckResult("", CheckStatus.CERTIFIED, None, {},
+                             MethodStats(interval=1, max_bits=bits))
 
     def instance(n: int, engine: Engine) -> CheckResult:
         if _refinement_margin_lo(n, nth_prime(n), nth_prime(n + 1), bits) > 0:

@@ -25,6 +25,8 @@ SCHEMA_KEYS = {
     "violations", "undecided", "stats", "wall_ms",
 }
 STATS_KEYS = {"exact", "interval", "undecided", "max_bits", "escalations"}
+ENGINE_FLAGS = ["--precision-cap", "256", "--start-bits", "192", "--exact-budget", "1000"]
+ENGINE_CONFIG = [("precision_cap", 256), ("exact_budget", 1000), ("start_bits", 192)]
 
 
 def run_json(capsys, argv):
@@ -114,7 +116,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["--start-bits", "0"], ["--start-bits", "256", "--precision-cap", "128"],
-        ["--exact-budget", "-1"], ["--precision-cap", "64"],
+        ["--exact-budget", "-1"], ["--precision-cap", "64"], ["--jobs", "0"],
     ])
     def test_bad_engine_values_name_their_flags(self, capsys, flags):
         assert main(["check", "--seq", "fibonacci", "--from", "4", "--to", "10",
@@ -262,6 +264,28 @@ class TestJsonSchema:
         assert doc["stats"]["undecided"] == 0
         assert doc["stats"]["escalations"] > 0
 
+    @pytest.mark.parametrize("argv,config", [
+        (["check", "--seq", "fibonacci", "--from", "4", "--to", "20",
+          "--direction", "decreasing", "--jobs", "2", *ENGINE_FLAGS],
+         [*ENGINE_CONFIG, ("jobs", 2), ("seq", "fibonacci"), ("start", 4), ("stop", 20),
+          ("direction", "decreasing")]),
+        (["find-start", "--seq", "fibonacci", "--horizon", "20",
+          "--direction", "increasing", "--jobs", "1", *ENGINE_FLAGS],
+         [*ENGINE_CONFIG, ("jobs", 1), ("seq", "fibonacci"), ("horizon", 20),
+          ("direction", "increasing")]),
+        # paper-suite and table have no --jobs; table has no engine flags
+        (["paper-suite", "--prime-horizon", "120", "--offset-max", "12",
+          "--stirling-max", "12", *ENGINE_FLAGS],
+         [*ENGINE_CONFIG, ("jobs", 1), ("prime_horizon", 120), ("offset_max", 12),
+          ("stirling_max", 12)]),
+        (["table", "--seq", "derangement", "--indices", "5,3", "--bits", "64"],
+         [("precision_cap", 65536), ("exact_budget", 2**31), ("start_bits", 128),
+          ("jobs", 1), ("seq", "derangement"), ("indices", [5, 3]), ("bits", 64)]),
+    ])
+    def test_config_block_keys_and_order(self, capsys, argv, config):
+        _, doc = run_json(capsys, argv)
+        assert list(doc["config"].items()) == [("format", "json"), *config]
+
     def test_table_document(self, capsys):
         code, doc = run_json(
             capsys,
@@ -330,6 +354,17 @@ class TestOutputFormats:
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text(encoding="utf-8"))
         assert doc["command"] == "check"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--seq", "fibonacci", "--from", "4", "--to", "20",
+         "--direction", "decreasing"],
+        ["table", "--seq", "fibonacci", "--indices", "10"],
+    ])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, argv):
+        for target in (tmp_path / "missing" / "report.json", tmp_path):
+            assert main(argv + ["--out", str(target)]) == EXIT_USAGE, target
+            out, err = capsys.readouterr()
+            assert out == "" and "--out" in err, (target, err)
 
     def test_text_and_json_agree(self, capsys):
         argv = ["check", "--seq", "fibonacci", "--from", "1", "--to", "60",
