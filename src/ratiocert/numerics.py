@@ -106,15 +106,7 @@ class Dyadic:
         return Fraction(self.mantissa, 1 << -self.exponent)
 
     def __float__(self) -> float:
-        m, e = self.mantissa, self.exponent
-        if m == 0:
-            return 0.0
-        # keep ldexp's argument small enough to avoid int->float overflow
-        extra = max(0, abs(m).bit_length() - 64)
-        try:
-            return math.ldexp(m >> extra if m > 0 else -((-m) >> extra), e + extra)
-        except OverflowError:
-            return math.inf if m > 0 else -math.inf
+        return _dyadic_float(self.mantissa, self.exponent)
 
     def _cmp(self, other: "Dyadic") -> int:
         a, b, _ = _aligned(self, other)
@@ -134,6 +126,16 @@ class Dyadic:
 
     def __str__(self) -> str:
         return f"{self.mantissa}*2^{self.exponent}"
+
+
+def _dyadic_float(m: int, e: int) -> float:
+    # the float of m * 2**e, any m (Dyadic's odd mantissa or a pair's end), from
+    # the top 64 bits of |m| so ldexp's argument fits a float; +-inf past the range
+    extra = max(0, abs(m).bit_length() - 64)
+    try:
+        return math.ldexp(m >> extra if m >= 0 else -((-m) >> extra), e + extra)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
 
 
 def _aligned(a: Dyadic, b: Dyadic) -> tuple[int, int, int]:

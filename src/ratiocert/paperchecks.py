@@ -10,11 +10,11 @@ Every enclosure is an integer pair [lo, hi] * 2**-(bits+8) at the ln
 kernel's one scale.  Margins of the form (sum c_i ln x_i + r) / d, x_i and r
 rational, come from compare's log-combination engine: ln 5 - 1,
 ln(1+x) - x + x^2/2, ln H - rhs/H, the unit-discriminant tail, the Stirling
-remainder and bound, the derangement log offsets, and ln disc.  The
-prime-ratio refinement adds ln ln n and ln(1 - u), and the terms with
-irrational constants (gamma and the gap bound's g-terms, n!/e, 6e + 3) are
-pair products, powers and quotients.  A check decides on the integers and
-turns a pair into floats only for its `detail`; it builds no DyadicInterval.
+remainder and bound, the derangement log offsets, and ln disc.  One formula
+gives both ends of the prime-ratio refinement's margin off its kernel pairs,
+and the terms with irrational constants (gamma and the gap bound's g-terms,
+n!/e, 6e + 3) are pair products, powers and quotients.  A check decides on
+the integers and turns a pair into floats only for its `detail` (no Dyadic).
 
 Every check takes one Engine.  Interval checks climb the same precision
 ladder as the ratio-step verdicts (Engine.rungs: start_bits, doubling up to
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .compare import (
     DEFAULT_ENGINE,
@@ -53,10 +53,10 @@ from .compare import (
 )
 from .numerics import (
     _KERNEL_EXTRA_BITS,
-    Dyadic,
     NonPositiveArgument,
     Ordering,
     _div_fixed,
+    _dyadic_float,
     _e_fixed,
     _fixed_rational,
     _ln_fixed,
@@ -105,7 +105,8 @@ class CheckResult:
 
 def _ivf(lo: int, hi: int, bits: int) -> list[float]:
     # the reported floats of the pair [lo, hi] * 2**-(bits+8)
-    return [float(Dyadic(x, -bits - _KERNEL_EXTRA_BITS)) for x in (lo, hi)]
+    e = -bits - _KERNEL_EXTRA_BITS
+    return [_dyadic_float(lo, e), _dyadic_float(hi, e)]
 
 
 def _abs_fixed(lo: int, hi: int) -> tuple[int, int]:
@@ -468,31 +469,25 @@ def check_prime_ratio_refinement(n: int, engine: Engine = DEFAULT_ENGINE) -> Che
     if n < 3:
         raise ValueError(f"needs n >= 3 so that ln ln n > 0, got {n}")
     p, p_next = nth_prime(n), nth_prime(n + 1)
-    witness = {"n": n, "informational": n <= 4}
-    lhs = LogCombination.from_pairs([(n, p_next), (-(n + 1), p)])
-    k = 2 * n * n
-
-    def margin(bits: int) -> tuple[int, int, int]:
-        # certify LHS < RHS by showing ln(1 - u) - ln LHS > 0, u = ln ln n / (2n^2),
-        # on integer endpoints at the ln kernel's one scale; the upper end
-        # mirrors _refinement_margin_lo, whose kernel calls are cached
-        w = bits + _KERNEL_EXTRA_BITS
-        ll_lo = _ln_fixed(_ln_fixed(n, 0, bits)[0], -w, bits)[0]
-        r_hi = _ln_fixed((1 << w) - ll_lo // k, -w, bits)[1]
-        s_lo = _combination_fixed(lhs, bits, 0, n * (n + 1))[0]
-        return _refinement_margin_lo(n, p, p_next, bits), r_hi - s_lo, bits
-
-    return _strict_sign_check(f"prime-ratio-refinement(n={n})", witness, margin, engine)
+    return _strict_sign_check(
+        f"prime-ratio-refinement(n={n})", {"n": n, "informational": n <= 4},
+        lambda bits: (*_refinement_margin(n, p, p_next, bits), bits), engine,
+    )
 
 
-def _refinement_margin_lo(n: int, p: int, p_next: int, bits: int) -> int:
-    # the lower end of check_prime_ratio_refinement's margin at bits, from the
-    # upper end of ln ln n, the lower end of ln(1 - u) and the upper end of ln LHS
-    w = bits + _KERNEL_EXTRA_BITS
-    ll_hi = _ln_fixed(_ln_fixed(n, 0, bits)[1], -w, bits)[1]
-    r_lo = _ln_fixed((1 << w) + (-ll_hi // (2 * n * n)), -w, bits)[0]
-    s_hi = n * _ln_fixed(p_next, 0, bits)[1] - (n + 1) * _ln_fixed(p, 0, bits)[0]
-    return r_lo - -(-s_hi // (n * (n + 1)))  # the ceiling, as in _combination_fixed
+def _refinement_margin(n: int, p: int, p_next: int, bits: int) -> Iterator[int]:
+    # check_prime_ratio_refinement's margin ln(1 - u) - ln LHS, u = ln ln n / (2n^2),
+    # ln LHS = (n ln p_next - (n+1) ln p) / (n(n+1)): yields its lower, then its
+    # upper end off the same kernel pairs.  Each end takes the opposite ends of
+    # ln ln n and ln LHS and rounds what it subtracts outward (a + -x // k is
+    # a - ceil(x / k)); the upper end's two kernel calls run only when asked for.
+    w, k, d = bits + _KERNEL_EXTRA_BITS, 2 * n * n, n * (n + 1)
+    (n_lo, n_hi), (p_lo, p_hi) = _ln_fixed(n, 0, bits), _ln_fixed(p, 0, bits)
+    q_lo, q_hi = _ln_fixed(p_next, 0, bits)
+    ll_hi = _ln_fixed(n_hi, -w, bits)[1]
+    yield _ln_fixed((1 << w) + -ll_hi // k, -w, bits)[0] + -(n * q_hi - (n + 1) * p_lo) // d
+    ll_lo = _ln_fixed(n_lo, -w, bits)[0]
+    yield _ln_fixed((1 << w) - ll_lo // k, -w, bits)[1] - (n * q_lo - (n + 1) * p_hi) // d
 
 
 def check_firoozbakht_range(start: int, stop: int,
@@ -525,7 +520,7 @@ def check_prime_ratio_range(start: int, stop: int,
                              MethodStats(interval=1, max_bits=bits))
 
     def instance(n: int, engine: Engine) -> CheckResult:
-        if _refinement_margin_lo(n, nth_prime(n), nth_prime(n + 1), bits) > 0:
+        if next(_refinement_margin(n, nth_prime(n), nth_prime(n + 1), bits)) > 0:
             return first_rung
         return check_prime_ratio_refinement(n, engine)
 

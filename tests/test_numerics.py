@@ -25,6 +25,7 @@ from ratiocert.numerics import (
     _TABLE_SHIFT,
     _atanh_fixed,
     _div_fixed,
+    _dyadic_float,
     _e_fixed,
     _fixed_interval,
     _fixed_rational,
@@ -88,6 +89,50 @@ class TestDyadic:
     def test_float_conversion(self):
         assert float(Dyadic(3, -1)) == 1.5
         assert float(Dyadic(1, 2000)) == math.inf
+
+
+@st.composite
+def unnormalized_dyadics(draw) -> tuple[int, int]:
+    # x * 2**e with |x| from 1 to 3000 bits, trailing zero bits, and a value
+    # exponent from below the subnormals to past the float range
+    size = draw(st.integers(1, 3000))
+    x = (1 << (size - 1)) | draw(st.integers(0, (1 << (size - 1)) - 1))
+    x = draw(st.sampled_from((1, -1))) * (x << draw(st.integers(0, 200)))
+    return x, draw(st.integers(-1200, 1200)) - x.bit_length()
+
+
+class TestDyadicFloat:
+    """_dyadic_float converts a pair's integer without building a Dyadic; it
+    must give the float of the Dyadic of the same value."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(unnormalized_dyadics())
+    def test_equals_the_dyadic_float(self, xe):
+        x, e = xe
+        assert _dyadic_float(x, e) == float(Dyadic(x, e))
+
+    @pytest.mark.parametrize("e", [-(10**6), -1100, 0, 1100, 10**6])
+    def test_zero(self, e):
+        assert _dyadic_float(0, e) == 0.0 == float(Dyadic(0, e))
+
+    @pytest.mark.parametrize("x, e, expected", [
+        (1, 1024, math.inf),
+        (-1, 1024, -math.inf),
+        ((1 << 3000) - 1, -1976, math.inf),  # rounds up past the largest float
+        (-(1 << 2999), -1975, -math.inf),
+        (3, 10**6, math.inf),
+        ((1 << 53) - 1, 1023 - 52, math.ldexp((1 << 53) - 1, 1023 - 52)),
+        ((1 << 80) + 1, -80, 1.0),
+        (-(5 << 400), -400, -5.0),
+        (1, -1074, math.ldexp(1, -1074)),
+        (1, -1076, 0.0),
+        # the top 64 bits are a tie, rounded to even; the whole value rounds up
+        ((1 << 65) + (1 << 12) + 1, -65, 1.0),
+    ], ids=["inf", "-inf", "3000-bit-rounds-to-inf", "-inf-3000-bit", "huge-exponent",
+            "largest-53-bit", "81-bit", "trailing-zeros", "least-subnormal", "underflow",
+            "top-64-bits-only"])
+    def test_edges(self, x, e, expected):
+        assert _dyadic_float(x, e) == expected == float(Dyadic(x, e))
 
 
 class TestInterval:

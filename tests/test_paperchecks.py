@@ -1,5 +1,6 @@
 """Named finite checks: constants, tail bounds, remainder bounds, grids."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from ratiocert.paperchecks import (
     constants_suite,
     paper_suite,
 )
-from ratiocert.numerics import NonPositiveArgument, Ordering
+from ratiocert.numerics import _KERNEL_EXTRA_BITS, NonPositiveArgument, Ordering, _ln_fixed
 from ratiocert.sequences import (
     Derangement,
     Harmonic,
@@ -232,6 +233,41 @@ class TestPrimeChecks:
 
     def test_prime_ratio_range(self):
         assert check_prime_ratio_range(5, 500).status is CheckStatus.CERTIFIED
+
+    # float.hex of the reported refinement margins; at 128 and 512 bits both
+    # ends round to the same float
+    REFINEMENT_MARGINS = {
+        3: "0x1.6eb336b8e824ap-5",
+        4: "-0x1.b8922bf89793cp-9",
+        5: "0x1.5c5bbca54477dp-5",
+        97: "0x1.616c8e1da0487p-12",
+        2000: "0x1.15fde82db6eb4p-19",
+        5000: "0x1.7e121a351f83dp-22",
+    }
+
+    @pytest.mark.parametrize("start_bits", [128, 512])
+    @pytest.mark.parametrize("n", sorted(REFINEMENT_MARGINS))
+    def test_refinement_margin_is_pinned(self, n, start_bits):
+        out = check_prime_ratio_refinement(n, Engine(start_bits=start_bits))
+        assert [x.hex() for x in out.detail["margin"]] == [self.REFINEMENT_MARGINS[n]] * 2
+        assert out.detail["bits"] == start_bits
+
+    def test_prime_ratio_range_equals_the_instances(self):
+        # status, stats and detail, as the per-instance two-sided checks give them
+        expected = _prime_range_by_instances(5, 2000, DEFAULT_ENGINE)
+        assert check_prime_ratio_range(5, 2000) == expected
+
+    def test_refinement_reads_both_ends_off_shared_kernel_pairs(self):
+        # a warm instance: ln p_n was computed as the previous instance's ln p_{n+1}
+        from ratiocert import numerics
+
+        numerics._ln_fixed.cache_clear()
+        check_prime_ratio_refinement(999)
+        before = numerics._ln_fixed.cache_info()
+        check_prime_ratio_refinement(1000)
+        after = numerics._ln_fixed.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses <= 7
+        assert after.misses - before.misses == 6
 
 
 class TestSuite:
@@ -488,6 +524,24 @@ class TestMarginsOnTheIntegerPair:
                     else CheckStatus.REFUTED if enc.strictly_negative()
                     else CheckStatus.UNDECIDED)
         assert out.status is expected
+
+    @pytest.mark.parametrize("bits", [16, 128, 512])
+    @pytest.mark.parametrize("n", [3, 4, 5, 97, 2000])
+    def test_refinement_margin_ends_from_the_public_enclosure(self, n, bits):
+        # both integer ends, rebuilt from the public enclosure of ln LHS and
+        # Fractions for u = ln ln n / (2n^2) rounded outward: a change of one
+        # unit in either end moves no reported float, so pin the integers
+        w = bits + _KERNEL_EXTRA_BITS
+        p, q = nth_prime(n), nth_prime(n + 1)
+        lhs = evaluate_combination(
+            LogCombination.from_pairs([(n, q), (-(n + 1), p)]), bits, 0, n * (n + 1))
+        s_lo, s_hi = (x.as_fraction() * 2**w for x in (lhs.lo, lhs.hi))
+        n_lo, n_hi = _ln_fixed(n, 0, bits)
+        u_lo = Fraction(_ln_fixed(n_lo, -w, bits)[0], 2 * n * n)
+        u_hi = Fraction(_ln_fixed(n_hi, -w, bits)[1], 2 * n * n)
+        lo = _ln_fixed((1 << w) - math.ceil(u_hi), -w, bits)[0] - s_hi
+        hi = _ln_fixed((1 << w) - math.floor(u_lo), -w, bits)[1] - s_lo
+        assert tuple(paperchecks._refinement_margin(n, p, q, bits)) == (lo, hi)
 
     @pytest.mark.parametrize("bits", [16, 24, 64, 100, 128, 1024])
     def test_gamma_band_matches_the_fraction_comparison(self, bits, monkeypatch):
