@@ -27,6 +27,7 @@ from .compare import (
     min_start_from_report,
     ratio_table,
 )
+from .numerics import _aligned, _outward_floats
 from .paperchecks import CheckStatus, paper_suite
 from .sequences import (
     Derangement,
@@ -327,24 +328,23 @@ def cmd_table(args: argparse.Namespace) -> int:
     if min(indices) < seq.domain_start:
         raise UsageError(f"indices must be >= {seq.domain_start} for {seq.name}")
     rows, wall_ms = _timed(ratio_table, seq, indices, args.bits)
+    # (n, enclosure, its ends as floats rounded outward)
+    rows = [(n, enc, *_outward_floats(*_aligned(enc.lo, enc.hi))) for n, enc in rows]
     results = [
         {
             "n": n,
-            "ln_r_lo": float(enc.lo),
-            "ln_r_hi": float(enc.hi),
+            "ln_r_lo": lo,
+            "ln_r_hi": hi,
             "lo_exact": str(enc.lo),
             "hi_exact": str(enc.hi),
             "method": "interval",
         }
-        for n, enc in rows
+        for n, enc, lo, hi in rows
     ]
     lines = [f"ln r_n enclosures for {seq.name} at {args.bits} bits"]
-    lines += [
-        f"n={n:<8d} ln_r in [{float(enc.lo):+.12e}, {float(enc.hi):+.12e}]"
-        for n, enc in rows
-    ]
+    lines += [f"n={n:<8d} ln_r in [{lo:+.12e}, {hi:+.12e}]" for n, _, lo, hi in rows]
     csv_rows = [["n", "ln_r_lo", "ln_r_hi", "method"]]
-    csv_rows += [[n, repr(float(enc.lo)), repr(float(enc.hi)), "interval"] for n, enc in rows]
+    csv_rows += [[n, repr(lo), repr(hi), "interval"] for n, _, lo, hi in rows]
     # table has no ladder: neither the engine flags nor the environment reach it
     _report(args, DEFAULT_ENGINE, dict(seq=seq.name, indices=indices, bits=args.bits),
             results, [], [], MethodStats(interval=len(rows), max_bits=args.bits), wall_ms,

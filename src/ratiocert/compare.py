@@ -7,12 +7,13 @@ builds no Fraction.  Three routes exist:
 
 * interval ladder: read the sign off the ln kernel's integer pair for S at
   128 bits, doubling the precision until it excludes zero or a cap is hit;
+  an exact budget of 0 leaves this route alone;
 * exact cross-power: compare prod x_i^{c_i} against 1 with big integers,
-  the only route that can certify S = 0;
-* adaptive (default): choose between the two by predicted cost.  A fitted
-  model predicts the seconds of the exact route from the estimated
-  cross-power size and the seconds of one rung from the number of terms
-  and the precision.  The exact route runs first only when it is predicted
+  the only route that can certify S = 0 (mode "exact" takes it alone);
+* adaptive (the default mode): choose between the two by predicted cost.
+  A fitted model predicts the seconds of the exact route from the estimated
+  cross-power size and the seconds of one rung from the number of terms and
+  the precision.  The exact route runs first only when it is predicted
   cheaper than the first rung.  After each rung that leaves zero inside the
   enclosure, it runs once it is predicted cheaper than the next rung or
   than the rungs already spent, so a tie never climbs far past the point
@@ -44,7 +45,7 @@ on the same integers, in a DyadicInterval for callers that keep it (ratio_table)
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, pairwise
@@ -111,8 +112,8 @@ class Method(Enum):
 class Engine:
     """Settings of every certificate: the precision ladder starts at
     start_bits and doubles up to cap_bits, the exact route builds no
-    cross-power estimated above exact_budget bits, and mode is "adaptive",
-    "interval" or "exact".  The ladder is stored once as `rungs`."""
+    cross-power estimated above exact_budget bits (0 leaves the ladder alone),
+    and mode is "adaptive" or "exact".  The ladder is stored once as `rungs`."""
 
     start_bits: int = 128
     cap_bits: int = 1 << 16
@@ -131,7 +132,7 @@ class Engine:
             raise ValueError(f"cap_bits {self.cap_bits} is below start_bits {self.start_bits}")
         if self.exact_budget < 0:
             raise ValueError(f"exact_budget must be >= 0, got {self.exact_budget}")
-        if self.mode not in ("adaptive", "interval", "exact"):
+        if self.mode not in ("adaptive", "exact"):
             raise ValueError(f"unknown mode {self.mode!r}")
         rungs = [self.start_bits]
         while rungs[-1] < self.cap_bits:
@@ -275,8 +276,7 @@ def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGIN
             return Verdict(Ordering.UNDECIDED, None, None)
         return Verdict(decide_exact(comb), Method.EXACT, None)
     # predicted seconds of the exact route, None where it may not run
-    adaptive = engine.mode == "adaptive" and cost <= engine.exact_budget
-    exact_s = _exact_s(cost) if adaptive else None
+    exact_s = _exact_s(cost) if cost <= engine.exact_budget else None
     terms = len(comb.terms)
     spent = 0.0
     for i, bits in enumerate(engine.rungs):
@@ -336,10 +336,7 @@ def ratio_step_combination(spec: Sequence, n: int) -> LogCombination:
     is the same object as the combination of the product sequence.
     """
     spec._validate_index(n)
-    windows = [
-        (leaf.term(n), leaf.term(n + 1), leaf.term(n + 2))
-        for leaf in _leaf_sequences(spec)
-    ]
+    windows = [tuple(leaf.terms(n, n + 2)) for leaf in _leaf_sequences(spec)]
     return LogCombination.from_pairs(_window_pairs(n, windows))
 
 
@@ -383,13 +380,8 @@ class MethodStats:
         )
 
     def to_json(self) -> dict:
-        return {
-            "exact": self.exact,
-            "interval": self.interval,
-            "undecided": self.undecided,
-            "max_bits": self.max_bits,
-            "escalations": self.escalations,
-        }
+        # the field order is the JSON key order
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -400,15 +392,14 @@ class MonotonicityReport:
     direction: Direction
     violations: tuple[int, ...]
     undecided: tuple[int, ...]
-    min_valid_start: int
     stats: MethodStats
+
+    @property
+    def min_valid_start(self) -> int:
+        return self.violations[-1] + 1 if self.violations else self.start
 
     def certified(self) -> bool:
         return not self.violations and not self.undecided
-
-
-def _min_valid_start(start: int, violations: Seq[int]) -> int:
-    return violations[-1] + 1 if violations else start
 
 
 def ratio_step_verdicts(
@@ -437,7 +428,6 @@ def ratio_step_verdicts(
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
     # the record rung reads one leaf's window with all three coefficients nonzero
     use_records = len(windows) == 1 and engine.mode != "exact" and start >= 1
-    budget = engine.exact_budget if engine.mode == "adaptive" else -1  # -1: no exact route
     rung_s = _rung_s(3, bits)
     greater, less = (Verdict(o, Method.INTERVAL, bits) for o in (Ordering.GREATER, Ordering.LESS))
 
@@ -450,7 +440,7 @@ def ratio_step_verdicts(
             return None
         c1, c0, c2 = _ratio_coefficients(n)  # c1 > 0 > c0, c2
         cost = c1 * s1 - c0 * s0 - c2 * s2
-        if cost <= budget and _exact_s(cost) < rung_s:
+        if cost <= engine.exact_budget and _exact_s(cost) < rung_s:
             return None
         if c1 * lo1 + c0 * hi0 + c2 * hi2 > 0:
             return greater
@@ -504,7 +494,6 @@ def check_monotone(
         direction=direction,
         violations=tuple(violations),
         undecided=tuple(undecided),
-        min_valid_start=_min_valid_start(start, violations),
         stats=stats,
     )
 
@@ -540,7 +529,6 @@ def combine_reports(parts: Seq[MonotonicityReport]) -> MonotonicityReport:
         direction=first.direction,
         violations=violations,
         undecided=undecided,
-        min_valid_start=_min_valid_start(first.start, violations),
         stats=stats,
     )
 

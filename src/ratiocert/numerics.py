@@ -38,6 +38,7 @@ interval_e, which keeps its published scale 2**-(bits+3).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -136,6 +137,23 @@ def _dyadic_float(m: int, e: int) -> float:
         return math.ldexp(m >> extra if m >= 0 else -((-m) >> extra), e + extra)
     except OverflowError:
         return math.inf if m > 0 else -math.inf
+
+
+def _outward_floats(lo: int, hi: int, e: int) -> list[float]:
+    # the floats nearest [lo, hi] * 2**e from outside: lo floored and hi ceiled
+    # onto the float grid (53 significant bits, multiples of 2**-1074 below the
+    # normal range), where ldexp is exact; past the range the outer side is
+    # +-inf and the inner side the largest finite float
+    def rounded(m: int, up: bool) -> float:
+        shift = max(m.bit_length() - 53, -1074 - e, 0)
+        q = -(-m >> shift) if up else m >> shift
+        try:
+            return math.ldexp(q, e + shift)
+        except OverflowError:
+            return math.copysign(math.inf if (q > 0) == up else sys.float_info.max, q)
+
+    # a two-item literal, not appends: reports keep thousands of these lists
+    return [rounded(lo, False), rounded(hi, True)]
 
 
 def _aligned(a: Dyadic, b: Dyadic) -> tuple[int, int, int]:
@@ -374,6 +392,8 @@ def interval_ln(x, bits: int) -> DyadicInterval:
     [0, 0].
     """
     _check_bits(bits)
+    if isinstance(x, Dyadic):
+        x = DyadicInterval.point(x)
     if isinstance(x, DyadicInterval):
         if x.lo.mantissa <= 0:
             raise NonPositiveArgument(
@@ -383,10 +403,6 @@ def interval_ln(x, bits: int) -> DyadicInterval:
         if not x.is_point():
             hi = _ln_fixed(x.hi.mantissa, x.hi.exponent, bits)[1]
         return _fixed_interval(lo, hi, bits)
-    if isinstance(x, Dyadic):
-        if x.mantissa <= 0:
-            raise NonPositiveArgument(f"ln requires a positive argument, got {x}")
-        return _fixed_interval(*_ln_fixed(x.mantissa, x.exponent, bits), bits)
     if isinstance(x, (int, Fraction)):
         if x <= 0:
             raise NonPositiveArgument(f"ln requires a positive argument, got {x}")

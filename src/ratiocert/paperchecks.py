@@ -14,7 +14,8 @@ remainder and bound, the derangement log offsets, and ln disc.  One formula
 gives both ends of the prime-ratio refinement's margin off its kernel pairs,
 and the terms with irrational constants (gamma and the gap bound's g-terms,
 n!/e, 6e + 3) are pair products, powers and quotients.  A check decides on
-the integers and turns a pair into floats only for its `detail` (no Dyadic).
+the integers and turns a pair into floats, rounded outward, only for its
+`detail` (no Dyadic).
 
 Every check takes one Engine.  Interval checks climb the same precision
 ladder as the ratio-step verdicts (Engine.rungs: start_bits, doubling up to
@@ -56,11 +57,11 @@ from .numerics import (
     NonPositiveArgument,
     Ordering,
     _div_fixed,
-    _dyadic_float,
     _e_fixed,
     _fixed_rational,
     _ln_fixed,
     _mul_fixed,
+    _outward_floats,
     _pow_fixed,
 )
 from .sequences import (
@@ -104,9 +105,8 @@ class CheckResult:
 
 
 def _ivf(lo: int, hi: int, bits: int) -> list[float]:
-    # the reported floats of the pair [lo, hi] * 2**-(bits+8)
-    e = -bits - _KERNEL_EXTRA_BITS
-    return [_dyadic_float(lo, e), _dyadic_float(hi, e)]
+    # the reported floats of the pair [lo, hi] * 2**-(bits+8), rounded outward
+    return _outward_floats(lo, hi, -bits - _KERNEL_EXTRA_BITS)
 
 
 def _abs_fixed(lo: int, hi: int) -> tuple[int, int]:

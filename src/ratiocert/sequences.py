@@ -206,12 +206,13 @@ def squarefree_sum(n: int) -> int:
 
 
 class Sequence:
-    """Base for positive exact sequences; subclasses set domain_start and name."""
+    """Base for positive exact sequences; a family sets domain_start and name
+    and defines terms, the one source of its terms."""
 
     domain_start: int = 1
-    # True when term(n) walks the recurrence from the domain start, so that
-    # streaming through indices nobody asked for costs no more than computing
-    # the next asked-for term afresh
+    # True when terms(start, stop) walks the recurrence from the domain start
+    # to reach start, so that streaming through indices nobody asked for costs
+    # no more than starting afresh at the next asked-for term
     term_walks: bool = False
 
     @property
@@ -219,7 +220,8 @@ class Sequence:
         raise NotImplementedError
 
     def term(self, n: int) -> int | Fraction:
-        raise NotImplementedError
+        """The n-th term: the first item of terms(n, n)."""
+        return next(self.terms(n, n))
 
     def _validate_index(self, n: int) -> None:
         if n < self.domain_start:
@@ -228,10 +230,8 @@ class Sequence:
             )
 
     def terms(self, start: int, stop: int) -> Iterator[int | Fraction]:
-        """Yield terms for start <= n <= stop."""
-        self._validate_index(start)
-        for n in range(start, stop + 1):
-            yield self.term(n)
+        """Yield terms for start <= n <= stop; every family defines this."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -247,10 +247,6 @@ class Lucas(Sequence):
         if (self.a, self.b) == (1, -1):
             return "fibonacci"
         return f"lucas({self.a},{self.b})"
-
-    def term(self, n: int) -> int:
-        self._validate_index(n)
-        return _lucas_pair(self.a, self.b, n)[0]
 
     def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
@@ -272,10 +268,6 @@ class Derangement(Sequence):
     @property
     def name(self) -> str:
         return "derangement"
-
-    def term(self, n: int) -> int:
-        self._validate_index(n)
-        return derangement_term(n)
 
     def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
@@ -300,10 +292,6 @@ class Harmonic(Sequence):
     def name(self) -> str:
         return f"harmonic({self.m})"
 
-    def term(self, n: int) -> Fraction:
-        self._validate_index(n)
-        return harmonic_term(self.m, n)
-
     def terms(self, start: int, stop: int) -> Iterator[Fraction]:
         self._validate_index(start)
         h = harmonic_term(self.m, start)
@@ -318,10 +306,6 @@ class Primes(Sequence):
     def name(self) -> str:
         return "primes"
 
-    def term(self, n: int) -> int:
-        self._validate_index(n)
-        return nth_prime(n)
-
     def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
         _ensure_prime_count(stop)
@@ -334,10 +318,6 @@ class SquarefreeSum(Sequence):
     @property
     def name(self) -> str:
         return "squarefree-sum"
-
-    def term(self, n: int) -> int:
-        self._validate_index(n)
-        return squarefree_sum(n)
 
     def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
@@ -362,10 +342,6 @@ class Product(Sequence):
     @property
     def name(self) -> str:
         return f"product({self.left.name},{self.right.name})"
-
-    def term(self, n: int) -> int | Fraction:
-        self._validate_index(n)
-        return self.left.term(n) * self.right.term(n)
 
     def terms(self, start: int, stop: int) -> Iterator[int | Fraction]:
         self._validate_index(start)

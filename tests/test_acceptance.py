@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations
+from typing import Iterator
 
 import mpmath
 
@@ -78,9 +79,10 @@ class Geometric(Sequence):
     def name(self) -> str:
         return f"geometric({self.c})"
 
-    def term(self, n: int) -> Fraction:
-        self._validate_index(n)
-        return Fraction(self.c) ** n
+    def terms(self, start: int, stop: int) -> Iterator[Fraction]:
+        self._validate_index(start)
+        for n in range(start, stop + 1):
+            yield Fraction(self.c) ** n
 
 
 def test_criterion_01_fibonacci_scan(tmp_path):
@@ -285,7 +287,7 @@ def test_criterion_10_oracle_equivalence():
     exact_engine = Engine(exact_budget=1 << 62, mode="exact")
     for seq in builtins:
         for n in range(seq.domain_start, 61):
-            ladder = ratio_step_verdict(seq, n, Engine(mode="interval"))
+            ladder = ratio_step_verdict(seq, n, Engine(exact_budget=0))
             exact = ratio_step_verdict(seq, n, exact_engine)
             if ladder.ordering is not exact.ordering:
                 mismatches.append((seq.name, n, ladder.ordering, exact.ordering))

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, output formats, schema stability."""
 
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from ratiocert.cli import (
     EXIT_USAGE,
     EXIT_VIOLATIONS,
     UsageError,
+    build_parser,
     main,
     parse_sequence_token,
 )
@@ -299,6 +303,22 @@ class TestJsonSchema:
         for row in rows:
             assert row["ln_r_lo"] <= row["ln_r_hi"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_table_floats_enclose_the_exact_ends(self, capsys, fmt):
+        # every format reports the same floats, each on or outside its exact end
+        argv = ["table", "--seq", "harmonic:2", "--indices", "3,10,100,1000", "--bits", "64"]
+        _, doc = run_json(capsys, argv)
+        main(argv + ["--format", fmt])
+        out = capsys.readouterr().out
+        for row in doc["results"]:
+            lo, hi = (Fraction(int(m)) * Fraction(2) ** int(e)
+                      for m, e in (row[k].split("*2^") for k in ("lo_exact", "hi_exact")))
+            assert row["ln_r_lo"] <= lo and hi <= row["ln_r_hi"]
+            if fmt == "csv":
+                assert f"{row['n']},{row['ln_r_lo']!r},{row['ln_r_hi']!r},interval" in out
+            else:
+                assert f"[{row['ln_r_lo']:+.12e}, {row['ln_r_hi']:+.12e}]" in out
+
 
 class TestDeterminismAndSharding:
     def test_repeat_runs_identical(self, capsys):
@@ -442,3 +462,19 @@ class TestEnvironmentVariable:
         )
         assert code == EXIT_UNDECIDED
         assert doc["undecided"]
+
+
+def test_docdigest_corpus_parses(monkeypatch):
+    # tools/docdigest.py runs its corpus through main: every argv must be a command
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts its src/ first
+    path = Path(__file__).resolve().parents[1] / "tools" / "docdigest.py"
+    spec = importlib.util.spec_from_file_location("docdigest", path)
+    docdigest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(docdigest)
+    parser = build_parser()
+    for argv in docdigest.CORPUS:
+        assert parser.parse_args(argv).command == argv[0]
+    for fmt in ("json", "text"):
+        doc = docdigest.document(["check", "--seq", "fibonacci", "--from", "4", "--to", "20",
+                                  "--direction", "decreasing", "--jobs", "1", "--format", fmt])
+        assert "wall_ms" in doc and not re.search(r"wall_ms\W*\d", doc)

@@ -7,6 +7,7 @@ verdict, so the two paths are continuously checked against each other.
 import pickle
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from ratiocert.sequences import (
     Sequence,
     SquarefreeSum,
     fibonacci,
+    lucas_term,
 )
 
 
@@ -55,9 +57,10 @@ class Geometric(Sequence):
     def name(self) -> str:
         return f"geometric({self.c})"
 
-    def term(self, n: int) -> Fraction:
-        self._validate_index(n)
-        return Fraction(self.c) ** n
+    def terms(self, start: int, stop: int) -> Iterator[Fraction]:
+        self._validate_index(start)
+        for n in range(start, stop + 1):
+            yield Fraction(self.c) ** n
 
 
 def brute_sign(comb: LogCombination) -> Ordering:
@@ -159,7 +162,7 @@ class TestSignOfLogCombination:
         comb = LogCombination.from_pairs(
             [(1, Fraction(big + 1, big)), (-1, Fraction(2 * big + 1, 2 * big))]
         )
-        v = sign_of_log_combination(comb, Engine(cap_bits=512, mode="interval"))
+        v = sign_of_log_combination(comb, Engine(cap_bits=512, exact_budget=0))
         assert v.ordering is Ordering.UNDECIDED
         assert v.method is Method.INTERVAL
 
@@ -233,7 +236,7 @@ class TestSignOfLogCombination:
             Engine(**settings)
 
     @pytest.mark.parametrize("settings,field", [
-        ({"cap_bits": 1000.5, "mode": "interval"}, "cap_bits"),
+        ({"cap_bits": 1000.5, "exact_budget": 0}, "cap_bits"),
         ({"exact_budget": 1.5}, "exact_budget"),
         ({"cap_bits": "x"}, "cap_bits"),
     ])
@@ -241,9 +244,31 @@ class TestSignOfLogCombination:
         with pytest.raises(ValueError, match=field):
             Engine(**settings)
 
+    def test_interval_is_not_a_mode(self):
+        # exact_budget=0 is the one switch that leaves the ladder alone
+        with pytest.raises(ValueError, match="mode"):
+            Engine(mode="interval")
+
+    @pytest.mark.parametrize("spec, start, stop, direction", [
+        (fibonacci(), 1, 60, Direction.DECREASING),
+        (Harmonic(3), 3, 40, Direction.INCREASING),
+    ], ids=lambda x: getattr(x, "name", x))
+    def test_zero_budget_never_takes_the_exact_route(self, monkeypatch, spec, start, stop,
+                                                      direction):
+        from ratiocert import compare
+
+        def forbidden(comb):
+            raise AssertionError("the exact route ran under exact_budget=0")
+
+        monkeypatch.setattr(compare, "decide_exact", forbidden)
+        engine = Engine(exact_budget=0)
+        assert check_monotone(spec, start, stop, direction, engine).stats.exact == 0
+        for n in range(start, stop - 1):
+            assert ratio_step_verdict(spec, n, engine).method is Method.INTERVAL
+
     def test_engine_pickles_with_its_rungs(self):
         # the process pool sends the engine to every worker
-        engine = Engine(64, 1000, 0, "interval")
+        engine = Engine(64, 1000, 0)
         copy = pickle.loads(pickle.dumps(engine))
         assert copy == engine and copy.rungs == (64, 128, 256, 512, 1000)
 
@@ -304,6 +329,22 @@ class TestRatioStep:
         assert coeffs[Fraction(5)] == -6 * 7  # a_n
         assert coeffs[Fraction(13)] == -5 * 6  # a_{n+2}
 
+    def test_one_matrix_power_per_leaf(self, monkeypatch):
+        # the three window terms stream from one _lucas_pair, not one each
+        from ratiocert import sequences
+        window = {lucas_term(3, 2, k) for k in (40, 41, 42)}
+        calls = []
+        pair = sequences._lucas_pair
+
+        def counting(a, b, n):
+            calls.append(n)
+            return pair(a, b, n)
+
+        monkeypatch.setattr(sequences, "_lucas_pair", counting)
+        comb = ratio_step_combination(Lucas(3, 2), 40)
+        assert calls == [40]
+        assert {x for _, x in comb.terms} == window
+
     def test_product_additivity(self):
         left, right = fibonacci(), Lucas(3, 2)
         prod = Product(left, right)
@@ -346,7 +387,7 @@ class TestRatioStep:
         for seq in sequences:
             for n in range(seq.domain_start, 61):
                 comb = ratio_step_combination(seq, n)
-                ladder = sign_of_log_combination(comb, Engine(mode="interval"))
+                ladder = sign_of_log_combination(comb, Engine(exact_budget=0))
                 adaptive = sign_of_log_combination(comb)
                 exact = sign_of_log_combination(
                     comb, Engine(exact_budget=1 << 62, mode="exact")
@@ -448,7 +489,6 @@ class TestCheckMonotone:
         Engine(start_bits=16),
         Engine(cap_bits=128, exact_budget=0),
         Engine(exact_budget=0),
-        Engine(mode="interval"),
         Engine(mode="exact", exact_budget=1 << 40),
     ], ids=repr)
     @pytest.mark.parametrize("spec, start, stop", [
@@ -641,7 +681,7 @@ class TestVerdictInvariants:
             a = Fraction(rng.randint(2, 99), rng.randint(1, 99))
             b = Fraction(rng.randint(2, 99), rng.randint(1, 99))
             comb = LogCombination.from_pairs([(c, a), (-c - 1, b)])
-            iv = sign_of_log_combination(comb, Engine(mode="interval"))
+            iv = sign_of_log_combination(comb, Engine(exact_budget=0))
             ex = decide_exact(comb)
             if iv.ordering is not Ordering.UNDECIDED:
                 assert iv.ordering is ex
@@ -730,7 +770,7 @@ class TestEvaluateCombination:
         from ratiocert import numerics
 
         numerics._ln_fixed.cache_clear()
-        report = check_monotone(spec, start, stop, direction, Engine(mode="interval"))
+        report = check_monotone(spec, start, stop, direction, Engine(exact_budget=0))
         assert report.certified()
         assert report.stats.max_bits == 128 and report.stats.escalations == 0
         integers = set()

@@ -7,6 +7,7 @@ own kernel.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -32,6 +33,7 @@ from ratiocert.numerics import (
     _ln_fixed,
     _ln_table,
     _mul_fixed,
+    _outward_floats,
     _pow_fixed,
     interval_e,
     interval_ln,
@@ -133,6 +135,53 @@ class TestDyadicFloat:
             "top-64-bits-only"])
     def test_edges(self, x, e, expected):
         assert _dyadic_float(x, e) == expected == float(Dyadic(x, e))
+
+
+class TestOutwardFloats:
+    """_outward_floats reports a pair [lo, hi] * 2**e as the nearest floats
+    from outside: each end on or beyond its exact value, and the next float
+    inward strictly inside."""
+
+    @staticmethod
+    def assert_outward(m: int, e: int, f: float, up: bool) -> None:
+        exact = Fraction(m) * Fraction(2) ** e
+        inward = math.nextafter(f, -math.inf if up else math.inf)
+        if up:
+            assert exact <= f and inward < exact
+        else:
+            assert f <= exact and exact < inward
+        assert f != 0 or math.copysign(1.0, f) == 1.0  # never -0.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(unnormalized_dyadics(), unnormalized_dyadics())
+    def test_ends_enclose_their_exact_values(self, a, b):
+        (lo, e), (hi, _) = a, b
+        lo_f, hi_f = _outward_floats(lo, hi, e)
+        self.assert_outward(lo, e, lo_f, up=False)
+        self.assert_outward(hi, e, hi_f, up=True)
+
+    @pytest.mark.parametrize("m", [0, 1, -1, 3, -3, (1 << 60) + 1, -((1 << 60) + 1)])
+    @pytest.mark.parametrize("e", [-(10**6), -1130, -1076, -1074, -1060, -60, 0, 960, 1100,
+                                   10**6])
+    def test_edges(self, m, e):
+        # zero, subnormal results, underflow, 61-bit ends and overflow
+        lo_f, hi_f = _outward_floats(m, m, e)
+        self.assert_outward(m, e, lo_f, up=False)
+        self.assert_outward(m, e, hi_f, up=True)
+
+    def test_overflow_and_underflow_sides(self):
+        top = sys.float_info.max
+        assert _outward_floats(1, 1, 1024) == [top, math.inf]
+        assert _outward_floats(-1, -1, 1024) == [-math.inf, -top]
+        tiny = math.ldexp(1, -1074)
+        assert _outward_floats(1, 1, -2000) == [0.0, tiny]
+        assert _outward_floats(-1, -1, -2000) == [-tiny, 0.0]
+        assert _outward_floats(0, 0, 10**6) == [0.0, 0.0]
+
+    def test_exact_ends_are_kept(self):
+        assert _outward_floats(-3, 5, -1) == [-1.5, 2.5]
+        assert _outward_floats(1, 1, -1074) == [math.ldexp(1, -1074)] * 2
+        assert _outward_floats(-(5 << 400), 5 << 400, -400) == [-5.0, 5.0]
 
 
 class TestInterval:

@@ -39,7 +39,14 @@ from ratiocert.paperchecks import (
     constants_suite,
     paper_suite,
 )
-from ratiocert.numerics import _KERNEL_EXTRA_BITS, NonPositiveArgument, Ordering, _ln_fixed
+from ratiocert.numerics import (
+    _KERNEL_EXTRA_BITS,
+    NonPositiveArgument,
+    Ordering,
+    _aligned,
+    _ln_fixed,
+    _outward_floats,
+)
 from ratiocert.sequences import (
     Derangement,
     Harmonic,
@@ -234,22 +241,22 @@ class TestPrimeChecks:
     def test_prime_ratio_range(self):
         assert check_prime_ratio_range(5, 500).status is CheckStatus.CERTIFIED
 
-    # float.hex of the reported refinement margins; at 128 and 512 bits both
-    # ends round to the same float
+    # float.hex of the reported refinement margins; at 128 and 512 bits the
+    # ends round outward to the same two neighbouring floats
     REFINEMENT_MARGINS = {
-        3: "0x1.6eb336b8e824ap-5",
-        4: "-0x1.b8922bf89793cp-9",
-        5: "0x1.5c5bbca54477dp-5",
-        97: "0x1.616c8e1da0487p-12",
-        2000: "0x1.15fde82db6eb4p-19",
-        5000: "0x1.7e121a351f83dp-22",
+        3: ["0x1.6eb336b8e8249p-5", "0x1.6eb336b8e824ap-5"],
+        4: ["-0x1.b8922bf89793dp-9", "-0x1.b8922bf89793cp-9"],
+        5: ["0x1.5c5bbca54477dp-5", "0x1.5c5bbca54477ep-5"],
+        97: ["0x1.616c8e1da0486p-12", "0x1.616c8e1da0487p-12"],
+        2000: ["0x1.15fde82db6eb3p-19", "0x1.15fde82db6eb4p-19"],
+        5000: ["0x1.7e121a351f83cp-22", "0x1.7e121a351f83dp-22"],
     }
 
     @pytest.mark.parametrize("start_bits", [128, 512])
     @pytest.mark.parametrize("n", sorted(REFINEMENT_MARGINS))
     def test_refinement_margin_is_pinned(self, n, start_bits):
         out = check_prime_ratio_refinement(n, Engine(start_bits=start_bits))
-        assert [x.hex() for x in out.detail["margin"]] == [self.REFINEMENT_MARGINS[n]] * 2
+        assert [x.hex() for x in out.detail["margin"]] == self.REFINEMENT_MARGINS[n]
         assert out.detail["bits"] == start_bits
 
     def test_prime_ratio_range_equals_the_instances(self):
@@ -363,7 +370,7 @@ class TestStreamedWindowsAndRange:
         (DEFAULT_ENGINE, 400),
         # at 16 bits the first margins to straddle zero are near n = 3400
         (Engine(start_bits=16), 3500),
-        (Engine(mode="interval"), 400),
+        (Engine(exact_budget=0), 400),
         (Engine(mode="exact", exact_budget=1 << 40), 400),
     ], ids=repr)
     def test_suite_equals_the_public_checks(self, engine, horizon, monkeypatch):
@@ -519,7 +526,7 @@ class TestMarginsOnTheIntegerPair:
     def test_margin_is_the_public_enclosure(self, check, args, public, start_bits):
         out = check(*args, engine=Engine(start_bits=start_bits))
         enc = public(out.detail["bits"])
-        assert out.detail["margin"] == [float(enc.lo), float(enc.hi)]
+        assert out.detail["margin"] == _outward_floats(*_aligned(enc.lo, enc.hi))
         expected = (CheckStatus.CERTIFIED if enc.strictly_positive()
                     else CheckStatus.REFUTED if enc.strictly_negative()
                     else CheckStatus.UNDECIDED)
@@ -559,4 +566,4 @@ class TestMarginsOnTheIntegerPair:
                         else CheckStatus.REFUTED if hi < band_lo or lo > band_hi
                         else CheckStatus.UNDECIDED)
             assert out.status is expected, (band_lo, band_hi)
-            assert out.detail["gamma"] == [float(g.lo), float(g.hi)]
+            assert out.detail["gamma"] == _outward_floats(*_aligned(g.lo, g.hi))

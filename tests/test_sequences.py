@@ -24,6 +24,7 @@ from ratiocert.sequences import (
     Lucas,
     Primes,
     Product,
+    Sequence,
     SquarefreeSum,
     derangement_term,
     fibonacci,
@@ -267,6 +268,13 @@ class TestProductAndDispatch:
         fib = fibonacci()
         assert Product(fib, fib).term(5) == 25
         assert Harmonic(1).term(2) == Fraction(3, 2)
+
+    def test_a_family_without_terms_fails_cleanly(self):
+        class Bare(Sequence):
+            name = "bare"
+
+        with pytest.raises(NotImplementedError):
+            Bare().term(1)
 
     def test_product_domain_is_max_of_children(self):
         p = Product(fibonacci(), Derangement())

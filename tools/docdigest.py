@@ -1,0 +1,76 @@
+"""Digest a fixed corpus of ratiocert CLI documents, to compare two trees.
+
+Each corpus command runs in-process through ratiocert.cli.main, against the
+package under this checkout's src/.  Its stdout, with the wall_ms figures
+blanked, is one document; the tool prints one line per document:
+
+    <sha256 of the document>  <argv>
+
+Run it in two checkouts and diff the outputs:
+
+    python tools/docdigest.py > digests.txt
+    python tools/docdigest.py --dump DIR   # also writes each document to DIR
+
+Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import re
+import shlex
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ratiocert.cli import main  # noqa: E402
+
+_CHECK = ["--direction", "decreasing", "--format", "json"]
+
+CORPUS = [
+    ["paper-suite", "--format", "json"],
+    ["paper-suite", "--format", "text"],
+    ["check", "--seq", "fibonacci", "--from", "4", "--to", "400", "--jobs", "1", *_CHECK],
+    ["check", "--seq", "fibonacci", "--from", "1", "--to", "400", "--jobs", "2", *_CHECK],
+    ["check", "--seq", "product(fibonacci,derangement)", "--from", "2", "--to", "120",
+     "--jobs", "1", *_CHECK],
+    ["check", "--seq", "lucas:3,2", "--from", "90", "--to", "170", "--jobs", "1", *_CHECK],
+    ["find-start", "--seq", "derangement", "--horizon", "80", "--direction", "decreasing",
+     "--jobs", "1", "--format", "json"],
+    ["table", "--seq", "fibonacci", "--from", "2", "--to", "20", "--format", "json"],
+    ["table", "--seq", "harmonic:2", "--indices", "3,10,100,1000", "--bits", "64",
+     "--format", "csv"],
+    ["table", "--seq", "derangement", "--from", "2", "--to", "300", "--step", "7",
+     "--format", "text"],
+]
+
+_WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
+
+
+def document(argv: list[str]) -> str:
+    """The command's stdout with its wall_ms figures blanked."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    return _WALL_MS.sub(r"\1", out.getvalue())
+
+
+def run(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", type=Path, help="also write each document to this directory")
+    args = parser.parse_args(argv)
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for i, cmd in enumerate(CORPUS):
+        doc = document(cmd)
+        if args.dump:
+            (args.dump / f"{i:02d}-{cmd[0]}.txt").write_text(doc, encoding="utf-8")
+        print(f"{hashlib.sha256(doc.encode()).hexdigest()}  {shlex.join(cmd)}", flush=True)
+
+
+if __name__ == "__main__":
+    run()
