@@ -188,21 +188,27 @@ def _scan_block(payload) -> MonotonicityReport:
 
 def _run_scan(seq: Sequence, start: int, stop: int, direction: Direction,
               engine: Engine, jobs: int) -> MonotonicityReport:
-    window_count = stop - 1 - start
-    jobs = min(jobs, max(1, window_count // 8))
-    if jobs <= 1:
+    if jobs == 1:
         return check_monotone(seq, start, stop, direction, engine)
     from concurrent.futures import ProcessPoolExecutor  # only a sharded scan pays its import
-    block = -(-window_count // jobs)
-    payloads = []
-    n = start
-    while n <= stop - 2:
-        n_hi = min(n + block - 1, stop - 2)
-        payloads.append((seq, n, n_hi + 2, direction, engine))
-        n = n_hi + 1
+    # jobs contiguous blocks of steps, block k being cuts[k] <= n < cuts[k + 1]
+    cuts = [start + (stop - 1 - start) * k // jobs for k in range(jobs + 1)]
+    payloads = [(seq, lo, hi + 1, direction, engine) for lo, hi in zip(cuts, cuts[1:])]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_scan_block, payloads))
     return combine_reports(parts)
+
+
+def _scan(args: argparse.Namespace, seq: Sequence, start: int, stop: int,
+          engine: Engine) -> tuple[MonotonicityReport, int]:
+    # (report, wall_ms) of steps start..stop-2 on args.jobs workers; without
+    # --jobs, it sets one per 8 steps and at most one per CPU
+    steps = stop - 1 - start
+    if args.jobs is None:
+        args.jobs = min(os.cpu_count() or 1, max(1, steps // 8))
+    elif args.jobs > steps:
+        raise UsageError(f"--jobs {args.jobs} exceeds the scan's {steps} steps")
+    return _timed(_run_scan, seq, start, stop, Direction(args.direction), engine, args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +229,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     if args.stop < args.start + 2:
         raise UsageError("--to must be at least --from + 2")
-    report, wall_ms = _timed(_run_scan, seq, args.start, args.stop,
-                             Direction(args.direction), engine, args.jobs)
+    report, wall_ms = _scan(args, seq, args.start, args.stop, engine)
     certified = report.certified()
     results = [{"sequence": report.sequence, "from": report.start, "to": report.stop,
                 "direction": report.direction.value,
@@ -254,8 +259,7 @@ def cmd_find_start(args: argparse.Namespace) -> int:
     engine = _engine(args)
     if args.horizon < seq.domain_start + 2:
         raise UsageError(f"--horizon must be at least {seq.domain_start + 2}")
-    report, wall_ms = _timed(_run_scan, seq, seq.domain_start, args.horizon,
-                             Direction(args.direction), engine, args.jobs)
+    report, wall_ms = _scan(args, seq, seq.domain_start, args.horizon, engine)
     n_start = min_start_from_report(report)
     results = [{"sequence": report.sequence, "horizon": args.horizon,
                 "direction": report.direction.value, "min_start": n_start,
@@ -378,8 +382,8 @@ def _add_common(p: argparse.ArgumentParser, *, engine: bool = True, jobs: bool =
     p.add_argument("--exact-budget", type=int, default=DEFAULT_ENGINE.exact_budget,
                    help="exact fallback size budget in bits (default %(default)s)")
     if jobs:
-        p.add_argument("--jobs", type=_at_least(1), default=os.cpu_count() or 1,
-                       help="worker processes for range sharding")
+        p.add_argument("--jobs", type=_at_least(1), default=None,
+                       help="worker processes (default: one per 8 steps, at most one per CPU)")
 
 
 def _add_sequence_flag(p: argparse.ArgumentParser) -> None:

@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 MIN_PRECISION_BITS = 16
 
@@ -81,10 +81,12 @@ def _shr_ceil(x: int, s: int) -> int:
     return -((-x) >> s)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Dyadic:
     """A dyadic rational mantissa * 2**exponent, normalized so the mantissa
-    is odd (or zero with exponent zero); equal values are structurally equal."""
+    is odd (or zero with exponent zero); equal values are structurally equal,
+    so the dataclass __eq__ is exact and the order needs only __lt__."""
 
     mantissa: int
     exponent: int
@@ -109,21 +111,9 @@ class Dyadic:
     def __float__(self) -> float:
         return _dyadic_float(self.mantissa, self.exponent)
 
-    def _cmp(self, other: "Dyadic") -> int:
-        a, b, _ = _aligned(self, other)
-        return (a > b) - (a < b)
-
     def __lt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) >= 0
+        a, b, _ = _aligned(self, other)
+        return a < b
 
     def __str__(self) -> str:
         return f"{self.mantissa}*2^{self.exponent}"

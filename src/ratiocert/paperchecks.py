@@ -233,11 +233,7 @@ def check_fibonacci_early_steps(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
 
 
 def check_lucas_gap_bound(
-    a: int,
-    b: int,
-    n: int,
-    engine: Engine = DEFAULT_ENGINE,
-    allow_unit_discriminant: bool = False,
+    a: int, b: int, n: int, engine: Engine = DEFAULT_ENGINE
 ) -> CheckResult:
     """Instance of the cleared-gap lower bound for two-term recurrences:
 
@@ -249,15 +245,12 @@ def check_lucas_gap_bound(
     disc = a * a - 4 * b
     if disc <= 0:
         raise InvalidParameters(f"discriminant {disc} must be positive")
-    if disc == 1 and not allow_unit_discriminant:
-        raise InvalidParameters(
-            "unit discriminant makes the bound vacuous (ln 1 = 0); "
-            "pass allow_unit_discriminant=True to evaluate informationally"
-        )
+    if disc == 1:
+        raise InvalidParameters("unit discriminant makes the bound vacuous (ln 1 = 0)")
     if n < 1:
         raise InvalidParameters(f"index must be >= 1, got {n}")
     comb = ratio_step_combination(Lucas(a, b), n)
-    ln_disc = LogCombination.from_pairs([(1, disc)])  # ln 1 is the exact point 0
+    ln_disc = LogCombination.from_pairs([(1, disc)])
 
     sides = {}
 
@@ -315,7 +308,9 @@ def check_unit_discriminant_tail(
     out = _strict_sign_check(
         name, witness, lambda bits: (*_combination_fixed(comb, bits, -d * w, d), bits), engine,
     )
-    out.detail["w_n"] = [float(w), float(w)]
+    # w's ends on the finest float grid, 2**-1074, so a tiny w is not flushed to 0.0
+    bits = 1074 - _KERNEL_EXTRA_BITS
+    out.detail["w_n"] = _ivf(*_fixed_rational(w, bits), bits)
     return out
 
 

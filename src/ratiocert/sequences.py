@@ -12,6 +12,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, islice
 from typing import Iterator
 
 from .numerics import (
@@ -105,12 +106,16 @@ def harmonic_term(m: int, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# primes, with a growing shared cache filled by a segmented sieve
+# the shared tables of primes and of squarefree sums: each grows under its
+# lock by one pass of _sieve_past over the integers past its last sieved one
 
 _PRIME_LOCK = threading.Lock()
 _PRIMES: list[int] = []
 _PRIME_SIEVED_TO = 1
-_SEGMENT = 1 << 17
+
+_SF_LOCK = threading.Lock()
+_SF_SUMS: list[int] = [0]
+_SF_NEXT = 1
 
 
 def _simple_sieve(limit: int) -> list[int]:
@@ -124,32 +129,27 @@ def _simple_sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _extend_primes_to(limit: int) -> None:
-    global _PRIME_SIEVED_TO
-    if limit <= _PRIME_SIEVED_TO:
-        return
-    base = _simple_sieve(math.isqrt(limit))
-    lo = _PRIME_SIEVED_TO + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT, limit + 1)
-        flags = bytearray([1]) * (hi - lo)
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            flags[start - lo :: p] = bytearray(len(range(start - lo, hi - lo, p)))
-        _PRIMES.extend(i + lo for i, f in enumerate(flags) if f and i + lo >= 2)
-        lo = hi
-    _PRIME_SIEVED_TO = limit
+def _sieve_past(lo: int, hi: int, squares: bool) -> Iterator[int]:
+    # lo <= i < hi (lo >= 1) not struck by a base prime p <= isqrt(hi - 1):
+    # its multiples from p*p, or with squares the multiples of p*p
+    flags = bytearray([1]) * (hi - lo)
+    for p in _simple_sieve(math.isqrt(hi - 1)):
+        step = p * p if squares else p
+        start = max(p * p, -(-lo // step) * step) - lo
+        flags[start::step] = bytes(len(range(start, hi - lo, step)))
+    return compress(range(lo, hi), flags)
 
 
 def _ensure_prime_count(count: int) -> None:
+    global _PRIME_SIEVED_TO
     with _PRIME_LOCK:
         while len(_PRIMES) < count:
             n = max(count, 6)
             # Rosser-type upper bound p_n < n(ln n + ln ln n) for n >= 6
             est = int(n * (math.log(n) + math.log(math.log(n)))) + 16
-            _extend_primes_to(max(est, 2 * _PRIME_SIEVED_TO, 64))
+            limit = max(est, 2 * _PRIME_SIEVED_TO, 64)
+            _PRIMES.extend(_sieve_past(_PRIME_SIEVED_TO + 1, limit + 1, squares=False))
+            _PRIME_SIEVED_TO = limit
 
 
 def nth_prime(n: int) -> int:
@@ -160,36 +160,18 @@ def nth_prime(n: int) -> int:
     return _PRIMES[n - 1]
 
 
-# ---------------------------------------------------------------------------
-# sums of the first n squarefree integers
-
-_SF_LOCK = threading.Lock()
-_SF_SUMS: list[int] = [0]
-_SF_NEXT = 1
-
-
 def _ensure_squarefree_count(count: int) -> None:
     global _SF_NEXT
     with _SF_LOCK:
         while len(_SF_SUMS) <= count:
-            lo = _SF_NEXT
-            # squarefree integers have density 6/pi^2 > 4/7, so a segment 7/4
-            # as wide as the sums still missing nearly always supplies them;
-            # it is never narrower than the table, so one-at-a-time callers
-            # see the table grow geometrically
+            # squarefree integers have density 6/pi^2 > 4/7, so a pass 7/4 as
+            # wide as the sums still missing nearly always supplies them; it is
+            # never narrower than the table, so one-at-a-time callers see the
+            # table grow geometrically
             missing = count + 1 - len(_SF_SUMS)
-            hi = lo + min(_SEGMENT, max(missing * 7 // 4 + 64, len(_SF_SUMS)))
-            flags = bytearray([1]) * (hi - lo)
-            for p in _simple_sieve(math.isqrt(hi - 1)):
-                sq = p * p
-                start = ((lo + sq - 1) // sq) * sq
-                if start < hi:
-                    flags[start - lo :: sq] = bytearray(len(range(start - lo, hi - lo, sq)))
-            running = _SF_SUMS[-1]
-            for i, f in enumerate(flags):
-                if f:
-                    running += i + lo
-                    _SF_SUMS.append(running)
+            hi = _SF_NEXT + max(missing * 7 // 4 + 64, len(_SF_SUMS))
+            sums = accumulate(_sieve_past(_SF_NEXT, hi, squares=True), initial=_SF_SUMS[-1])
+            _SF_SUMS.extend(islice(sums, 1, None))
             _SF_NEXT = hi
 
 

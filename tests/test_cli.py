@@ -329,6 +329,59 @@ class TestDeterminismAndSharding:
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
 
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        # a ProcessPoolExecutor that records its workers and blocks, and maps
+        # in this process
+        seen = {}
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen["workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                payloads = list(payloads)
+                seen["steps"] = [range(p[1], p[2] - 1) for p in payloads]
+                return map(fn, payloads)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        return seen
+
+    def test_explicit_jobs_run_that_many_contiguous_blocks(self, capsys, fake_pool):
+        base = ["check", "--seq", "fibonacci", "--from", "4", "--to", "20",
+                "--direction", "decreasing"]
+        _, par = run_json(capsys, base + ["--jobs", "2"])
+        assert fake_pool["workers"] == par["config"]["jobs"] == 2
+        blocks = fake_pool["steps"]
+        assert len(blocks) == 2 and all(blocks)
+        assert [n for block in blocks for n in block] == list(range(4, 19))
+        _, seq = run_json(capsys, base + ["--jobs", "1"])
+        for doc in (seq, par):
+            doc.pop("wall_ms")
+            doc["config"].pop("jobs")
+        assert seq == par
+
+    def test_jobs_above_the_step_count_are_a_usage_error(self, capsys):
+        code = main(["check", "--seq", "fibonacci", "--from", "4", "--to", "8",
+                     "--direction", "decreasing", "--jobs", "4"])
+        assert code == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stop,jobs", [(20, 1), (21, 2), (200, 4)])
+    def test_default_jobs_report_what_ran(self, capsys, monkeypatch, fake_pool, stop, jobs):
+        # one worker per 8 steps, at most one per CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _, doc = run_json(capsys, ["check", "--seq", "fibonacci", "--from", "4",
+                                   "--to", str(stop), "--direction", "decreasing"])
+        assert doc["config"]["jobs"] == jobs
+        assert fake_pool.get("workers", 1) == jobs
+
     def test_jobs_do_not_change_results(self, capsys):
         base = ["check", "--seq", "fibonacci", "--from", "1", "--to", "150",
                 "--direction", "decreasing"]

@@ -82,11 +82,23 @@ class TestDyadic:
     def test_comparisons_match_fractions(self):
         rng = random.Random(7)
         for _ in range(300):
-            a = Dyadic(rng.randint(-999, 999), rng.randint(-20, 20))
-            b = Dyadic(rng.randint(-999, 999), rng.randint(-20, 20))
-            assert (a < b) == (a.as_fraction() < b.as_fraction())
-            assert (a <= b) == (a.as_fraction() <= b.as_fraction())
-            assert (a == b) == (a.as_fraction() == b.as_fraction())
+            m, e = rng.randint(-999, 999), rng.randint(-20, 20)
+            a = Dyadic(m, e)
+            if rng.random() < 0.25:
+                # the same value from other inputs, as Dyadic(4, 0) and Dyadic(1, 2)
+                k = rng.randint(1, 6)
+                b = Dyadic(m << k, e - k)
+            else:
+                b = Dyadic(rng.randint(-999, 999), rng.randint(-20, 20))
+            fa, fb = a.as_fraction(), b.as_fraction()
+            assert (a < b) == (fa < fb)
+            assert (a <= b) == (fa <= fb)
+            assert (a > b) == (fa > fb)
+            assert (a >= b) == (fa >= fb)
+            assert (a == b) == (fa == fb)
+        four, also_four = Dyadic(4, 0), Dyadic(1, 2)
+        assert four == also_four and four <= also_four and four >= also_four
+        assert not (four < also_four or four > also_four)
 
     def test_float_conversion(self):
         assert float(Dyadic(3, -1)) == 1.5

@@ -106,10 +106,8 @@ class TestLucasGapBound:
         assert out.detail["rhs"][0] > 0
 
     def test_unit_discriminant_needs_flag(self):
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(InvalidParameters, match="vacuous"):
             check_lucas_gap_bound(3, 2, 5)
-        out = check_lucas_gap_bound(3, 2, 5, allow_unit_discriminant=True)
-        assert out.status is CheckStatus.CERTIFIED
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameters):
@@ -126,6 +124,16 @@ class TestUnitDiscriminantTail:
 
     def test_five_six_instance(self):
         assert check_unit_discriminant_tail(5, 6, 20).status is CheckStatus.CERTIFIED
+
+    @pytest.mark.parametrize("a,b,n", [(3, 2, 50), (5, 6, 20)])
+    def test_reported_w_is_the_nearest_enclosing_float_pair(self, a, b, n):
+        g = Fraction(a - 1, a + 1)
+        w = (Fraction(2, n + 1) * (-(g ** (n + 1)) - g ** (2 * n + 2))
+             + g**n / n + g ** (n + 2) / (n + 2))
+        lo, hi = check_unit_discriminant_tail(a, b, n).detail["w_n"]
+        assert Fraction(lo) <= w <= Fraction(hi)
+        assert Fraction(math.nextafter(lo, math.inf)) > w
+        assert Fraction(math.nextafter(hi, -math.inf)) < w
 
     def test_precondition_skip_at_n1(self):
         out = check_unit_discriminant_tail(3, 2, 1)

@@ -199,6 +199,18 @@ class TestPrimes:
         got = list(p.terms(1, len(trial)))
         assert got == trial
 
+    def test_one_at_a_time_extensions_join_without_seams(self, monkeypatch):
+        # from an empty table, many small extensions leave the same primes as
+        # one sieve up to the last sieved integer
+        from ratiocert import sequences
+
+        monkeypatch.setattr(sequences, "_PRIMES", [])
+        monkeypatch.setattr(sequences, "_PRIME_SIEVED_TO", 1)
+        for n in range(1, 3001):
+            nth_prime(n)
+        assert sequences._PRIMES == sequences._simple_sieve(sequences._PRIME_SIEVED_TO)
+        assert len(sequences._PRIMES) >= 3000
+
     def test_domain(self):
         with pytest.raises(IndexBelowDomainStart):
             nth_prime(0)

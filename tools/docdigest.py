@@ -39,6 +39,10 @@ CORPUS = [
     ["check", "--seq", "product(fibonacci,derangement)", "--from", "2", "--to", "120",
      "--jobs", "1", *_CHECK],
     ["check", "--seq", "lucas:3,2", "--from", "90", "--to", "170", "--jobs", "1", *_CHECK],
+    ["check", "--seq", "primes", "--from", "1", "--to", "600", "--jobs", "1", *_CHECK],
+    ["check", "--seq", "squarefree-sum", "--from", "7", "--to", "600", "--jobs", "1", *_CHECK],
+    ["check", "--seq", "fibonacci", "--from", "4", "--to", "20", *_CHECK],
+    ["check", "--seq", "fibonacci", "--from", "4", "--to", "20", "--jobs", "2", *_CHECK],
     ["find-start", "--seq", "derangement", "--horizon", "80", "--direction", "decreasing",
      "--jobs", "1", "--format", "json"],
     ["table", "--seq", "fibonacci", "--from", "2", "--to", "20", "--format", "json"],
