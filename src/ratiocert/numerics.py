@@ -25,14 +25,19 @@ remainder bounds:
 * e is the unit-factorial series with tail bound 2/(K+1)!.
 
 The ln kernel works a guard word below the scale and rounds onto it at the
-end.  An exact integer goes into it as it is, with no rounding first, and a
-rational as its numerator and denominator, so a sum of integer multiples of
-logs is a sum of pairs.  The kernel's cache is bounded to a scan's working
-set (64 entries), so memory does not grow with the length of a scan or the
-size of its terms.  Constants that are not sums of logs (a recurrence's root
-ratio, n!/e) use three more pair operations at the same scale: the product,
-power and quotient of nonnegative pairs.  The one exception is the public
-interval_e, which keeps its published scale 2**-(bits+3).
+end.  It reads the top scale + 3 bits of an integer, scale = bits + 40 being
+the guard word's scale, and pads the upper end by one guard-word unit when
+the bits it drops are not all zero, so a call costs the same for any size of
+term.  A rational goes in as its numerator and denominator, so a sum of
+integer multiples of logs is a sum of pairs, and a narrow fixed-point
+interval [lo, hi] as one call at lo with its upper end padded by
+(hi - lo) / lo.  The kernel's cache is bounded to a scan's working set (64
+entries), keyed by the cut argument, so memory does not grow with the length
+of a scan or the size of its terms.  Constants that are not sums of logs (a
+recurrence's root ratio, n!/e) use three more pair operations at the same
+scale: the product, power and quotient of nonnegative pairs.  The one
+exception is the public interval_e, which keeps its published scale
+2**-(bits+3).
 """
 
 from __future__ import annotations
@@ -279,16 +284,31 @@ def _ln_small(n: int, scale: int) -> tuple[int, int]:
     return got
 
 
+def _ln_fixed(m: int, e: int, bits: int, pad: int = 0) -> tuple[int, int]:
+    # enclosure [lo, hi] * 2**-w of ln(m * 2**e) for m > 0, w = bits + extra,
+    # its upper end raised by pad guard-word units before the final shift.
+    # Only the top scale + 3 bits of m reach the kernel: M = m >> s leaves
+    # ln m - ln(M 2**s) < 1/M <= 2**-(scale+2), under one guard-word unit,
+    # which the upper end gains when the dropped bits (bit 0 among them) are
+    # not all zero.
+    s = m.bit_length() - bits - (_KERNEL_EXTRA_BITS + _KERNEL_GUARD_BITS + 3)
+    if s <= 0:
+        return _ln_kernel(m, e, bits, pad)
+    cut = m >> s
+    return _ln_kernel(cut, e + s, bits, pad + (m & 1 or cut << s != m))
+
+
 # A scan uses each term in three consecutive windows, at the few precisions
 # its steps climb to; 64 entries keep every such reuse while holding only the
-# scan's working set, however long the scan and however large its terms.
+# scan's working set, and _ln_fixed's cut bounds each key by the precision,
+# however long the scan and however large its terms.
 @lru_cache(maxsize=64)
-def _ln_fixed(m: int, e: int, bits: int) -> tuple[int, int]:
-    # enclosure [lo, hi] * 2**-w of ln(m * 2**e) for m > 0, w = bits + extra:
+def _ln_kernel(m: int, e: int, bits: int, pad: int) -> tuple[int, int]:
+    # _ln_fixed's enclosure for an m of at most scale + 3 bits:
     # (e + t - s) ln 2 + ln idx + 2 atanh(z) for the table point idx / 2**s
     # nearest m / 2**t and z = (m 2**s - idx 2**t) / (m 2**s + idx 2**t)
     t = m.bit_length() - 1
-    if e + t == 0 and m == 1 << t:
+    if e + t == 0 and m == 1 << t and not pad:
         return 0, 0
     if abs(e + t) >= 1 << 30:
         raise OverflowError("argument exponent too large for the ln kernel")
@@ -300,8 +320,10 @@ def _ln_fixed(m: int, e: int, bits: int) -> tuple[int, int]:
         idx = m << -sh
         zn = 0
     scale = bits + _KERNEL_EXTRA_BITS + _KERNEL_GUARD_BITS
-    l2_lo, l2_hi = _ln_small(2, scale)
-    lo, hi = _ln_small(idx, scale)
+    logs = _ln_table(scale)
+    l2_lo, l2_hi = logs[2]
+    lo, hi = logs.get(idx) or _ln_small(idx, scale)
+    hi += pad
     if zn:
         a_lo, a_hi = _atanh_fixed(zn, m + (idx << sh), scale)
         lo += 2 * a_lo
@@ -332,9 +354,11 @@ def _ln_exact(x, bits: int) -> tuple[int, int]:
 
 
 def _ln_scaled(lo: int, hi: int, bits: int) -> tuple[int, int]:
-    # enclosure of ln([lo, hi] * 2**-w) at the same scale, for 0 < lo <= hi
+    # enclosure of ln([lo, hi] * 2**-w) at the same scale, for 0 < lo <= hi,
+    # from one kernel call at lo: ln hi <= ln lo + (hi - lo) / lo, which pads
+    # the upper end by ceil((hi - lo) 2**(w+32) / lo) guard-word units
     w = bits + _KERNEL_EXTRA_BITS
-    return _ln_fixed(lo, -w, bits)[0], _ln_fixed(hi, -w, bits)[1]
+    return _ln_fixed(lo, -w, bits, _ceil_div((hi - lo) << (w + _KERNEL_GUARD_BITS), lo))
 
 
 def _fixed_rational(x, bits: int) -> tuple[int, int]:

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .compare import (
     DEFAULT_ENGINE,
@@ -60,6 +60,7 @@ from .numerics import (
     _e_fixed,
     _fixed_rational,
     _ln_fixed,
+    _ln_scaled,
     _mul_fixed,
     _outward_floats,
     _pow_fixed,
@@ -470,19 +471,16 @@ def check_prime_ratio_refinement(n: int, engine: Engine = DEFAULT_ENGINE) -> Che
     )
 
 
-def _refinement_margin(n: int, p: int, p_next: int, bits: int) -> Iterator[int]:
+def _refinement_margin(n: int, p: int, p_next: int, bits: int) -> tuple[int, int]:
     # check_prime_ratio_refinement's margin ln(1 - u) - ln LHS, u = ln ln n / (2n^2),
-    # ln LHS = (n ln p_next - (n+1) ln p) / (n(n+1)): yields its lower, then its
-    # upper end off the same kernel pairs.  Each end takes the opposite ends of
-    # ln ln n and ln LHS and rounds what it subtracts outward (a + -x // k is
-    # a - ceil(x / k)); the upper end's two kernel calls run only when asked for.
+    # ln LHS = (n ln p_next - (n+1) ln p) / (n(n+1)), as a (lo, hi) pair off the
+    # same kernel pairs.  Each end takes the opposite ends of ln ln n and ln LHS
+    # and rounds what it subtracts outward (a + -x // k is a - ceil(x / k)).
     w, k, d = bits + _KERNEL_EXTRA_BITS, 2 * n * n, n * (n + 1)
-    (n_lo, n_hi), (p_lo, p_hi) = _ln_fixed(n, 0, bits), _ln_fixed(p, 0, bits)
-    q_lo, q_hi = _ln_fixed(p_next, 0, bits)
-    ll_hi = _ln_fixed(n_hi, -w, bits)[1]
-    yield _ln_fixed((1 << w) + -ll_hi // k, -w, bits)[0] + -(n * q_hi - (n + 1) * p_lo) // d
-    ll_lo = _ln_fixed(n_lo, -w, bits)[0]
-    yield _ln_fixed((1 << w) - ll_lo // k, -w, bits)[1] - (n * q_lo - (n + 1) * p_hi) // d
+    (p_lo, p_hi), (q_lo, q_hi) = _ln_fixed(p, 0, bits), _ln_fixed(p_next, 0, bits)
+    ll_lo, ll_hi = _ln_scaled(*_ln_fixed(n, 0, bits), bits)
+    m_lo, m_hi = _ln_scaled((1 << w) + -ll_hi // k, (1 << w) - ll_lo // k, bits)
+    return m_lo + -(n * q_hi - (n + 1) * p_lo) // d, m_hi - (n * q_lo - (n + 1) * p_hi) // d
 
 
 def check_firoozbakht_range(start: int, stop: int,
@@ -515,7 +513,7 @@ def check_prime_ratio_range(start: int, stop: int,
                              MethodStats(interval=1, max_bits=bits))
 
     def instance(n: int, engine: Engine) -> CheckResult:
-        if next(_refinement_margin(n, nth_prime(n), nth_prime(n + 1), bits)) > 0:
+        if _refinement_margin(n, nth_prime(n), nth_prime(n + 1), bits)[0] > 0:
             return first_rung
         return check_prime_ratio_refinement(n, engine)
 

@@ -769,7 +769,7 @@ class TestEvaluateCombination:
     def test_scan_evaluates_each_integer_once(self, spec, start, stop, direction):
         from ratiocert import numerics
 
-        numerics._ln_fixed.cache_clear()
+        numerics._ln_kernel.cache_clear()
         report = check_monotone(spec, start, stop, direction, Engine(exact_budget=0))
         assert report.certified()
         assert report.stats.max_bits == 128 and report.stats.escalations == 0
@@ -780,7 +780,7 @@ class TestEvaluateCombination:
                 integers.add(x.numerator)
                 if x.denominator != 1:
                     integers.add(x.denominator)
-        assert numerics._ln_fixed.cache_info().misses == len(integers)
+        assert numerics._ln_kernel.cache_info().misses == len(integers)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"divisor": 2.0}, "divisor"),

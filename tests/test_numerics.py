@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratiocert.numerics import (
@@ -31,6 +31,8 @@ from ratiocert.numerics import (
     _fixed_interval,
     _fixed_rational,
     _ln_fixed,
+    _ln_kernel,
+    _ln_scaled,
     _ln_table,
     _mul_fixed,
     _outward_floats,
@@ -362,7 +364,8 @@ class TestLnKernel:
             _ln_fixed(1, -(1 << 30), 64)
 
     def test_exact_one_at_any_exponent(self):
-        for t in (0, 1, S, 100):
+        # 2**100000 is wider than the kernel reads, and its cut bits are zero
+        for t in (0, 1, S, 100, 100000):
             assert _ln_fixed(1 << t, -t, 64) == (0, 0)
 
     def test_table_scales_stay_bounded(self):
@@ -371,6 +374,67 @@ class TestLnKernel:
         info = _ln_table.cache_info()
         assert info.maxsize == _TABLE_SCALES <= 16
         assert info.currsize <= _TABLE_SCALES
+
+
+truncation_bits = st.sampled_from([128, 1024, 8192])
+
+
+class TestTruncatedKernel:
+    """The kernel reads only the top scale + 3 bits of a wider argument."""
+
+    @given(
+        st.integers(0, 64).map(lambda k: round(100_000 / 2 ** (k / 4))),  # 100k down to 2 bits
+        st.integers(0, 2**32),
+        st.one_of(st.just(0), st.integers(0, 100_000)),
+        st.integers(-(1 << 20), 1 << 20),
+        truncation_bits,
+    )
+    @example(100_000, 1, 0, 0, 128)
+    @example(100_000, 2, 0, -99_999, 1024)
+    @example(100_000, 3, 99_000, 7, 8192)
+    @settings(max_examples=40, deadline=None)
+    def test_contains_oracle_and_nests(self, size, seed, zeros, e, bits):
+        # m from a seed, so hypothesis never holds (or prints) a 100k-bit int;
+        # its bits below the top size - zeros cleared, so a cut may drop only zeros
+        m = random.Random(seed).getrandbits(size) | 1 << (size - 1)
+        zeros = min(zeros, size - 1)
+        m = m >> zeros << zeros
+        with mpmath.workprec(3 * bits + 128):
+            truth = mp_fraction(mpmath.log(m) + e * mpmath.log(2))
+        pad = Fraction(1, 2 ** (2 * bits + 40))
+        iv = kernel_interval(m, e, bits)
+        assert iv.lo.as_fraction() <= truth + pad
+        assert truth - pad <= iv.hi.as_fraction()
+        assert iv.encloses(kernel_interval(m, e, 2 * bits))
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    def test_cut_pads_only_when_it_drops_a_one(self, bits):
+        # ln m - ln(M 2**s) < 1/M is under one guard-word unit, too little for
+        # the enclosures above to show, so pin the rule on the key that each
+        # call leaves in the kernel's cache
+        s = 1000
+        top = (1 << (bits + _KERNEL_EXTRA_BITS + _KERNEL_GUARD_BITS + 2)) + 12345
+        _ln_kernel.cache_clear()
+        for low, pad, kernel_pad in ((0, 0, 0), (1, 7, 8), (2, 0, 1)):
+            _ln_fixed((top << s) + low, 5, bits, pad)
+            hits = _ln_kernel.cache_info().hits
+            _ln_kernel(top, 5 + s, bits, kernel_pad)
+            assert _ln_kernel.cache_info().hits == hits + 1, (low, pad)
+
+    @given(st.integers(-4, 4), st.integers(1, 2**32), st.integers(0, 8), truncation_bits)
+    @settings(max_examples=30, deadline=None)
+    def test_one_call_interval_is_the_two_call_one_to_an_ulp(self, k, seed, width, bits):
+        # a fixed-point interval a few ulps wide, as the checks pass them, with
+        # lo * 2**-w in [2**k, 2**k + 2)
+        w = bits + _KERNEL_EXTRA_BITS
+        lo = random.Random(seed).getrandbits(w + 1) + (1 << (w + k))
+        hi = lo + width
+        one_lo, one_hi = _ln_scaled(lo, hi, bits)
+        with mpmath.workprec(3 * bits + 128):
+            ln_lo, ln_hi = (mp_fraction(mpmath.log(x) - w * mpmath.log(2)) for x in (lo, hi))
+        assert Fraction(one_lo, 2**w) <= ln_lo and ln_hi <= Fraction(one_hi, 2**w)
+        assert one_lo == _ln_fixed(lo, -w, bits)[0]
+        assert abs(one_hi - _ln_fixed(hi, -w, bits)[1]) <= 1
 
 
 def old_ln_fixed(m: int, e: int, bits: int) -> tuple[int, int]:

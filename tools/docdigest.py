@@ -50,6 +50,12 @@ CORPUS = [
      "--format", "csv"],
     ["table", "--seq", "derangement", "--from", "2", "--to", "300", "--step", "7",
      "--format", "text"],
+    # terms wider than the ln kernel's working precision, so it reads their top bits
+    ["table", "--seq", "derangement", "--from", "2", "--to", "3000", "--step", "37",
+     "--format", "json"],
+    ["table", "--seq", "fibonacci", "--from", "1", "--to", "6000", "--step", "53",
+     "--format", "json"],
+    ["check", "--seq", "derangement", "--from", "3", "--to", "2000", "--jobs", "1", *_CHECK],
 ]
 
 _WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
