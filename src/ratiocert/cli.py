@@ -48,6 +48,12 @@ EXIT_USAGE = 64
 
 ENV_MAX_BITS = "RATIOCERT_MAX_BITS"
 
+# Steps per worker without --jobs: two workers start near a pool's break-even.
+# Cold `check --seq fibonacci --from 4 --to N` on 2 CPUs, 9 runs a size: --jobs
+# 2 lost 16 of 18 against --jobs 1 at 8 000 and 10 000 steps, won 15 of 27 from
+# 12 000 to 16 000 with the lower median at each, and 8 of 9 at 20 000.
+_STEPS_PER_WORKER = 6000
+
 
 class UsageError(Exception):
     pass
@@ -201,11 +207,10 @@ def _run_scan(seq: Sequence, start: int, stop: int, direction: Direction,
 
 def _scan(args: argparse.Namespace, seq: Sequence, start: int, stop: int,
           engine: Engine) -> tuple[MonotonicityReport, int]:
-    # (report, wall_ms) of steps start..stop-2 on args.jobs workers; without
-    # --jobs, it sets one per 8 steps and at most one per CPU
+    # (report, wall_ms) of steps start..stop-2 on args.jobs workers
     steps = stop - 1 - start
     if args.jobs is None:
-        args.jobs = min(os.cpu_count() or 1, max(1, steps // 8))
+        args.jobs = min(os.cpu_count() or 1, max(1, steps // _STEPS_PER_WORKER))
     elif args.jobs > steps:
         raise UsageError(f"--jobs {args.jobs} exceeds the scan's {steps} steps")
     return _timed(_run_scan, seq, start, stop, Direction(args.direction), engine, args.jobs)
@@ -383,7 +388,8 @@ def _add_common(p: argparse.ArgumentParser, *, engine: bool = True, jobs: bool =
                    help="exact fallback size budget in bits (default %(default)s)")
     if jobs:
         p.add_argument("--jobs", type=_at_least(1), default=None,
-                       help="worker processes (default: one per 8 steps, at most one per CPU)")
+                       help=f"worker processes (default: one per {_STEPS_PER_WORKER} steps, "
+                            "at most one per CPU)")
 
 
 def _add_sequence_flag(p: argparse.ArgumentParser) -> None:

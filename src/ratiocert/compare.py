@@ -9,23 +9,23 @@ builds no Fraction.  Three routes exist:
   128 bits, doubling the precision until it excludes zero or a cap is hit;
   an exact budget of 0 leaves this route alone;
 * exact cross-power: compare prod x_i^{c_i} against 1 with big integers,
-  the only route that can certify S = 0 (mode "exact" takes it alone);
-* adaptive (the default mode): choose between the two by predicted cost.
-  A fitted model predicts the seconds of the exact route from the estimated
-  cross-power size and the seconds of one rung from the number of terms and
-  the precision.  The exact route runs first only when it is predicted
-  cheaper than the first rung.  After each rung that leaves zero inside the
-  enclosure, it runs once it is predicted cheaper than the next rung or
-  than the rungs already spent, so a tie never climbs far past the point
-  where the exact route would have been cheaper.  Ties therefore always end
-  on the exact route.  Sizes over the exact budget never take it; such
-  combinations climb to the cap and are reported Undecided if still
+  the only route that can certify S = 0 (decide_exact runs it alone);
+* adaptive, what sign_of_log_combination does: choose between the two by
+  predicted cost.  A fitted model predicts the seconds of the exact route
+  from the estimated cross-power size and the seconds of one rung from the
+  number of terms and the precision.  The exact route runs first only when
+  it is predicted cheaper than the first rung.  After each rung that leaves
+  zero inside the enclosure, it runs once it is predicted cheaper than the
+  next rung or than the rungs already spent, so a tie never climbs far past
+  the point where the exact route would have been cheaper.  Ties therefore
+  always end on the exact route.  Sizes over the exact budget never take it;
+  such combinations climb to the cap and are reported Undecided if still
   unresolved there.  The prediction only picks the route: the certificate,
   and so the sign, comes from the route that ran.
 
 One frozen Engine carries every setting of a decision: the ladder's start
-and cap, the exact budget and the mode.  DEFAULT_ENGINE holds the defaults,
-and every function below that decides a sign takes an Engine.
+and cap and the exact budget.  DEFAULT_ENGINE holds the defaults, and every
+function below that decides a sign takes an Engine.
 
 Root-ratio monotonicity reduces to such signs: with r_n =
 a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
@@ -112,13 +112,12 @@ class Method(Enum):
 class Engine:
     """Settings of every certificate: the precision ladder starts at
     start_bits and doubles up to cap_bits, the exact route builds no
-    cross-power estimated above exact_budget bits (0 leaves the ladder alone),
-    and mode is "adaptive" or "exact".  The ladder is stored once as `rungs`."""
+    cross-power estimated above exact_budget bits (0 leaves the ladder
+    alone).  The ladder is stored once as `rungs`."""
 
     start_bits: int = 128
     cap_bits: int = 1 << 16
     exact_budget: int = 1 << 31
-    mode: str = "adaptive"
 
     def __post_init__(self) -> None:
         if not isinstance(self.start_bits, int) or self.start_bits < MIN_PRECISION_BITS:
@@ -132,8 +131,6 @@ class Engine:
             raise ValueError(f"cap_bits {self.cap_bits} is below start_bits {self.start_bits}")
         if self.exact_budget < 0:
             raise ValueError(f"exact_budget must be >= 0, got {self.exact_budget}")
-        if self.mode not in ("adaptive", "exact"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         rungs = [self.start_bits]
         while rungs[-1] < self.cap_bits:
             rungs.append(min(rungs[-1] * 2, self.cap_bits))
@@ -176,14 +173,14 @@ class Verdict:
     """Comparison outcome plus the certificate that produced it."""
 
     ordering: Ordering
-    method: Optional[Method]
+    method: Method
     bits: Optional[int]
     escalations: int = 0
 
     def to_json(self) -> dict:
         return {
             "ordering": self.ordering.value,
-            "method": self.method.value if self.method else None,
+            "method": self.method.value,
             "bits": self.bits,
             "escalations": self.escalations,
         }
@@ -271,10 +268,6 @@ def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGIN
     if not comb.terms:
         return Verdict(Ordering.EQUAL, Method.EXACT, None)
     cost = estimate_exact_bits(comb)
-    if engine.mode == "exact":
-        if cost > engine.exact_budget:
-            return Verdict(Ordering.UNDECIDED, None, None)
-        return Verdict(decide_exact(comb), Method.EXACT, None)
     # predicted seconds of the exact route, None where it may not run
     exact_s = _exact_s(cost) if cost <= engine.exact_budget else None
     terms = len(comb.terms)
@@ -362,7 +355,7 @@ class MethodStats:
         for v in verdicts:
             if v.method is Method.EXACT:
                 exact += 1
-            elif v.method is Method.INTERVAL:
+            else:
                 interval += 1
                 max_bits = max(max_bits, v.bits)
             if v.ordering is Ordering.UNDECIDED:
@@ -427,7 +420,7 @@ def ratio_step_verdicts(
     iters = [map(record, leaf.terms(start, stop)) for leaf in _leaf_sequences(spec)]
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
     # the record rung reads one leaf's window with all three coefficients nonzero
-    use_records = len(windows) == 1 and engine.mode != "exact" and start >= 1
+    use_records = len(windows) == 1 and start >= 1
     rung_s = _rung_s(3, bits)
     greater, less = (Verdict(o, Method.INTERVAL, bits) for o in (Ordering.GREATER, Ordering.LESS))
 

@@ -24,7 +24,9 @@ from ratiocert.compare import (
     Method,
     Ordering,
     check_monotone,
+    decide_exact,
     find_min_start,
+    ratio_step_combination,
     ratio_step_verdict,
 )
 from ratiocert.numerics import Dyadic, DyadicInterval, interval_ln
@@ -284,23 +286,22 @@ def test_criterion_10_oracle_equivalence():
     ]
     mismatches = []
     stray_equal = []
-    exact_engine = Engine(exact_budget=1 << 62, mode="exact")
     for seq in builtins:
         for n in range(seq.domain_start, 61):
             ladder = ratio_step_verdict(seq, n, Engine(exact_budget=0))
-            exact = ratio_step_verdict(seq, n, exact_engine)
-            if ladder.ordering is not exact.ordering:
-                mismatches.append((seq.name, n, ladder.ordering, exact.ordering))
-            if exact.ordering is Ordering.EQUAL:
+            exact = decide_exact(ratio_step_combination(seq, n))
+            if ladder.ordering is not exact:
+                mismatches.append((seq.name, n, ladder.ordering, exact))
+            if exact is Ordering.EQUAL:
                 stray_equal.append((seq.name, n))
     geo_ok = True
     for c in (2, 5):
         for n in range(1, 11):
             v = ratio_step_verdict(Geometric(c), n)
-            w = ratio_step_verdict(Geometric(c), n, exact_engine)
+            w = decide_exact(ratio_step_combination(Geometric(c), n))
             geo_ok = geo_ok and (
                 v.ordering is Ordering.EQUAL
-                and w.ordering is Ordering.EQUAL
+                and w is Ordering.EQUAL
                 and v.method is Method.EXACT
             )
     ok = not mismatches and not stray_equal and geo_ok

@@ -13,6 +13,7 @@ import pytest
 
 import ratiocert
 from ratiocert.cli import (
+    _STEPS_PER_WORKER as K,
     EXIT_OK,
     EXIT_UNDECIDED,
     EXIT_USAGE,
@@ -373,14 +374,27 @@ class TestDeterminismAndSharding:
         assert code == EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stop,jobs", [(20, 1), (21, 2), (200, 4)])
-    def test_default_jobs_report_what_ran(self, capsys, monkeypatch, fake_pool, stop, jobs):
-        # one worker per 8 steps, at most one per CPU
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    @pytest.mark.parametrize("steps,jobs", [(2 * K - 1, 1), (2 * K, 2), (5 * K, 3)])
+    def test_default_jobs_report_what_ran(self, capsys, monkeypatch, fake_pool, steps, jobs):
+        # one worker per K steps, at most one per CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         _, doc = run_json(capsys, ["check", "--seq", "fibonacci", "--from", "4",
-                                   "--to", str(stop), "--direction", "decreasing"])
+                                   "--to", str(4 + steps + 1), "--direction", "decreasing"])
         assert doc["config"]["jobs"] == jobs
         assert fake_pool.get("workers", 1) == jobs
+
+    @pytest.mark.parametrize("steps", [2 * K - 1, 2 * K])
+    def test_default_jobs_document_is_the_single_job_one(self, capsys, steps):
+        # below and at the break-even, in real worker processes where they fork
+        base = ["check", "--seq", "fibonacci", "--from", "4", "--to", str(4 + steps + 1),
+                "--direction", "decreasing"]
+        _, default = run_json(capsys, base)
+        _, single = run_json(capsys, base + ["--jobs", "1"])
+        assert default["config"]["jobs"] == min(os.cpu_count() or 1, steps // K)
+        for doc in (default, single):
+            doc.pop("wall_ms")
+            doc["config"].pop("jobs")
+        assert default == single
 
     def test_jobs_do_not_change_results(self, capsys):
         base = ["check", "--seq", "fibonacci", "--from", "1", "--to", "150",

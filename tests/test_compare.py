@@ -150,12 +150,6 @@ class TestSignOfLogCombination:
                 assert v.ordering is Ordering.EQUAL
                 assert v.method is Method.EXACT
 
-    def test_exact_mode_over_budget_is_undecided(self):
-        comb = LogCombination.from_pairs([(10**6, Fraction(3)), (-1, Fraction(2))])
-        v = sign_of_log_combination(comb, Engine(exact_budget=1000, mode="exact"))
-        assert v.ordering is Ordering.UNDECIDED
-        assert estimate_exact_bits(comb) > 1000
-
     def test_interval_mode_cannot_decide_tiny_sign(self):
         # margin around 2^-1001: below the 2^16-bit cap is fine, so shrink the cap
         big = 2**1000
@@ -229,7 +223,7 @@ class TestSignOfLogCombination:
 
     @pytest.mark.parametrize("settings", [
         {"start_bits": 8}, {"start_bits": 256, "cap_bits": 128},
-        {"exact_budget": -1}, {"mode": "bogus"},
+        {"exact_budget": -1},
     ])
     def test_engine_rejects_bad_settings(self, settings):
         with pytest.raises(ValueError):
@@ -245,9 +239,12 @@ class TestSignOfLogCombination:
             Engine(**settings)
 
     def test_interval_is_not_a_mode(self):
-        # exact_budget=0 is the one switch that leaves the ladder alone
-        with pytest.raises(ValueError, match="mode"):
+        # exact_budget=0 is the one switch that leaves the ladder alone, and
+        # decide_exact the one exact-only reference: an Engine has no mode
+        with pytest.raises(TypeError):
             Engine(mode="interval")
+        with pytest.raises(TypeError):
+            Engine(mode="exact")
 
     @pytest.mark.parametrize("spec, start, stop, direction", [
         (fibonacci(), 1, 60, Direction.DECREASING),
@@ -389,12 +386,10 @@ class TestRatioStep:
                 comb = ratio_step_combination(seq, n)
                 ladder = sign_of_log_combination(comb, Engine(exact_budget=0))
                 adaptive = sign_of_log_combination(comb)
-                exact = sign_of_log_combination(
-                    comb, Engine(exact_budget=1 << 62, mode="exact")
-                )
-                assert exact.ordering is not Ordering.UNDECIDED
-                assert ladder.ordering is exact.ordering, (seq.name, n)
-                assert adaptive.ordering is exact.ordering, (seq.name, n)
+                exact = decide_exact(comb)
+                assert exact is not Ordering.UNDECIDED
+                assert ladder.ordering is exact, (seq.name, n)
+                assert adaptive.ordering is exact, (seq.name, n)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +484,6 @@ class TestCheckMonotone:
         Engine(start_bits=16),
         Engine(cap_bits=128, exact_budget=0),
         Engine(exact_budget=0),
-        Engine(mode="exact", exact_budget=1 << 40),
     ], ids=repr)
     @pytest.mark.parametrize("spec, start, stop", [
         (fibonacci(), 1, 300),  # F1 = F2: step 1 repeats a base
@@ -506,8 +500,6 @@ class TestCheckMonotone:
     def test_scan_equals_its_step_verdicts(self, spec, start, stop, engine):
         # the scan decides most steps from its window records; each step must
         # come out as ratio_step_verdict decides it alone
-        if engine.mode == "exact":
-            start, stop = spec.domain_start, spec.domain_start + 20
         report = check_monotone(spec, start, stop, Direction.DECREASING, engine)
         steps = range(start, stop - 1)
         verdicts = [ratio_step_verdict(spec, n, engine) for n in steps]

@@ -16,7 +16,7 @@ def test_every_export_resolves_once():
 
 
 def test_no_public_function_takes_loose_engine_settings():
-    # one Engine carries the ladder, the budget and the mode
+    # one Engine carries the ladder and the budget, and no function takes a mode
     functions = {getattr(ratiocert, n) for n in ratiocert.__all__}
     functions |= {f for mod in (compare, paperchecks) for n, f in vars(mod).items()
                   if not n.startswith("_") and getattr(f, "__module__", None) == mod.__name__}

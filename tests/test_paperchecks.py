@@ -10,7 +10,9 @@ from ratiocert.compare import (
     DEFAULT_ENGINE,
     Engine,
     LogCombination,
+    Method,
     MethodStats,
+    Verdict,
     evaluate_combination,
     ratio_step_combination,
     ratio_step_verdict,
@@ -380,7 +382,6 @@ class TestStreamedWindowsAndRange:
         # at 16 bits the first margins to straddle zero are near n = 3400
         (Engine(start_bits=16), 3500),
         (Engine(exact_budget=0), 400),
-        (Engine(mode="exact", exact_budget=1 << 40), 400),
     ], ids=repr)
     def test_suite_equals_the_public_checks(self, engine, horizon, monkeypatch):
         fallbacks = []
@@ -422,21 +423,39 @@ class TestStreamedWindowsAndRange:
 
     @pytest.mark.parametrize("window", [HARMONIC_WINDOW, DERANGEMENT_WINDOW],
                              ids=lambda w: w[0])
-    @pytest.mark.parametrize("engine, flipped", [
-        (DEFAULT_ENGINE, True),  # refuted at the first step
-        (Engine(mode="exact", exact_budget=3000), False),  # undecided part-way
-    ], ids=["flipped-ordering", "small-exact-budget"])
-    def test_failing_window_stops_where_the_steps_do(self, window, engine, flipped, monkeypatch):
+    def test_failing_window_stops_where_the_steps_do(self, window, monkeypatch):
+        # the claimed ordering flipped: refuted at the first step
         name, check, expected, region, grid = window
-        if flipped:
-            expected = Ordering.GREATER if expected is Ordering.LESS else Ordering.LESS
-            run = paperchecks._verdict_run
-            monkeypatch.setattr(paperchecks, "_verdict_run",
-                                lambda name, steps, _, region: run(name, steps, expected, region))
-        out = check(engine)
-        assert out.status is not CheckStatus.CERTIFIED
-        assert (out.witness == grid[0][0]) == flipped
-        assert out == _window_by_steps(name, expected, region, grid, engine)
+        expected = Ordering.GREATER if expected is Ordering.LESS else Ordering.LESS
+        run = paperchecks._verdict_run
+        monkeypatch.setattr(paperchecks, "_verdict_run",
+                            lambda name, steps, _, region: run(name, steps, expected, region))
+        out = check()
+        assert out.status is CheckStatus.REFUTED
+        assert out.witness == grid[0][0]
+        assert out == _window_by_steps(name, expected, region, grid, DEFAULT_ENGINE)
+
+    @pytest.mark.parametrize("window", [HARMONIC_WINDOW, DERANGEMENT_WINDOW],
+                             ids=lambda w: w[0])
+    def test_undecided_step_ends_the_window(self, window, monkeypatch):
+        # the stream yields an undecided step part-way: the window stops there,
+        # names it and counts the steps up to it
+        name, check, expected, region, grid = window
+        k = len(grid) // 2 + 1
+        witness, spec_k, n_k = grid[k]
+        undecided = Verdict(Ordering.UNDECIDED, Method.INTERVAL, 512, 2)
+        stream = paperchecks.ratio_step_verdicts
+
+        def stalling(spec, start, stop, engine):
+            for n, v in stream(spec, start, stop, engine):
+                yield n, undecided if (spec, n) == (spec_k, n_k) else v
+
+        monkeypatch.setattr(paperchecks, "ratio_step_verdicts", stalling)
+        out = check()
+        assert out.status is CheckStatus.UNDECIDED
+        assert out.witness == witness
+        assert out.stats == MethodStats.of(
+            [ratio_step_verdict(spec, n) for _, spec, n in grid[:k]] + [undecided])
 
 
 def _unit_tail_margin(mp, n):
