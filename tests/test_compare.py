@@ -187,6 +187,15 @@ class TestSignOfLogCombination:
             assert v.ordering is Ordering.EQUAL and v.method is Method.EXACT
             assert v.escalations <= most
 
+    def test_tie_over_budget_is_undecided(self):
+        # a tie has no separating rung; above the budget no exact route ends it
+        comb = ratio_step_combination(Geometric(10), 20)
+        assert estimate_exact_bits(comb) > 1000
+        v = sign_of_log_combination(comb, Engine(cap_bits=256, exact_budget=1000))
+        assert v.ordering is Ordering.UNDECIDED and v.method is Method.INTERVAL
+        v = sign_of_log_combination(comb, Engine(cap_bits=256))
+        assert v.ordering is Ordering.EQUAL and v.method is Method.EXACT
+
     def test_adaptive_budget_exhaustion_is_undecided(self):
         big = 2**200000
         comb = LogCombination.from_pairs(
@@ -396,6 +405,20 @@ class TestRatioStep:
 # range scans
 
 
+SCAN_CASES = [
+    (fibonacci(), 1, 300),  # F1 = F2: step 1 repeats a base
+    (Lucas(3, 2), 90, 170),  # near-ties: escalations, undecided under a cap
+    (Lucas(2, -1), 1, 200),
+    (Derangement(), 2, 200),
+    (Harmonic(2), 1, 60),
+    (Primes(), 1, 300),
+    (SquarefreeSum(), 1, 300),
+    (Product(fibonacci(), Derangement()), 2, 100),
+    (Geometric(2), 1, 6),  # exact ties
+    (Geometric(10), 1, 4),
+]
+
+
 class TestCheckMonotone:
     @pytest.mark.parametrize("spec, start, stop, direction", [
         (fibonacci(), 1, 400, Direction.DECREASING),
@@ -485,18 +508,8 @@ class TestCheckMonotone:
         Engine(cap_bits=128, exact_budget=0),
         Engine(exact_budget=0),
     ], ids=repr)
-    @pytest.mark.parametrize("spec, start, stop", [
-        (fibonacci(), 1, 300),  # F1 = F2: step 1 repeats a base
-        (Lucas(3, 2), 90, 170),  # near-ties: escalations, undecided under a cap
-        (Lucas(2, -1), 1, 200),
-        (Derangement(), 2, 200),
-        (Harmonic(2), 1, 60),
-        (Primes(), 1, 300),
-        (SquarefreeSum(), 1, 300),
-        (Product(fibonacci(), Derangement()), 2, 100),
-        (Geometric(2), 1, 6),  # exact ties
-        (Geometric(10), 1, 4),
-    ], ids=lambda x: getattr(x, "name", x))
+    @pytest.mark.parametrize("spec, start, stop", SCAN_CASES,
+                             ids=lambda x: getattr(x, "name", x))
     def test_scan_equals_its_step_verdicts(self, spec, start, stop, engine):
         # the scan decides most steps from its window records; each step must
         # come out as ratio_step_verdict decides it alone
@@ -511,6 +524,17 @@ class TestCheckMonotone:
         assert report.undecided == undecided
         assert report.min_valid_start == (violations[-1] + 1 if violations else start)
         assert report.stats == MethodStats.of(verdicts)
+
+    @pytest.mark.parametrize("spec", [spec for spec, _, _ in SCAN_CASES],
+                             ids=lambda spec: spec.name)
+    def test_scan_agrees_with_the_exact_reference(self, spec):
+        # the first 20 steps of each family, against the exact cross-powers
+        start, stop = spec.domain_start, spec.domain_start + 20
+        report = check_monotone(spec, start, stop, Direction.DECREASING)
+        exact = [(n, decide_exact(ratio_step_combination(spec, n)))
+                 for n in range(start, stop - 1)]
+        assert report.undecided == ()
+        assert report.violations == tuple(n for n, o in exact if o is not Ordering.GREATER)
 
     @pytest.mark.parametrize("spec, stop, escalates", [
         (Lucas(3, 2), 300, True), (fibonacci(), 400, False)])
