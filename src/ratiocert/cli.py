@@ -48,10 +48,10 @@ EXIT_USAGE = 64
 
 ENV_MAX_BITS = "RATIOCERT_MAX_BITS"
 
-# Steps per worker without --jobs: two workers start near a pool's break-even.
-# Cold `check --seq fibonacci --from 4 --to N` on 2 CPUs, 9 runs a size: --jobs
-# 2 lost 16 of 18 against --jobs 1 at 8 000 and 10 000 steps, won 15 of 27 from
-# 12 000 to 16 000 with the lower median at each, and 8 of 9 at 20 000.
+# Steps per worker without --jobs, measured on fibonacci with 2 CPUs only: cold, --jobs 2
+# lost 16 of 18 runs to --jobs 1 at 8 000 and 10 000 steps and won 8 of 9 at 20 000.  A step
+# is not a unit of work (a lucas:3,2 pool wins from about 5 000 steps), and the route model
+# cannot tell before the scan what precision its steps need.  More CPUs are extrapolated.
 _STEPS_PER_WORKER = 6000
 
 

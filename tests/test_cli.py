@@ -13,7 +13,6 @@ import pytest
 
 import ratiocert
 from ratiocert.cli import (
-    _STEPS_PER_WORKER as K,
     EXIT_OK,
     EXIT_UNDECIDED,
     EXIT_USAGE,
@@ -374,37 +373,40 @@ class TestDeterminismAndSharding:
         assert code == EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("steps,jobs", [(2 * K - 1, 1), (2 * K, 2), (5 * K, 3)])
-    def test_default_jobs_report_what_ran(self, capsys, monkeypatch, fake_pool, steps, jobs):
-        # one worker per K steps, at most one per CPU
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    @pytest.mark.parametrize("stop,jobs", [(20, 1), (21, 2), (200, 4)])
+    def test_default_jobs_report_what_ran(self, capsys, monkeypatch, fake_pool, stop, jobs):
+        # one worker per _STEPS_PER_WORKER steps, at most one per CPU
+        monkeypatch.setattr("ratiocert.cli._STEPS_PER_WORKER", 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         _, doc = run_json(capsys, ["check", "--seq", "fibonacci", "--from", "4",
-                                   "--to", str(4 + steps + 1), "--direction", "decreasing"])
+                                   "--to", str(stop), "--direction", "decreasing"])
         assert doc["config"]["jobs"] == jobs
         assert fake_pool.get("workers", 1) == jobs
 
-    @pytest.mark.parametrize("steps", [2 * K - 1, 2 * K])
-    def test_default_jobs_document_is_the_single_job_one(self, capsys, steps):
-        # below and at the break-even, in real worker processes where they fork
-        base = ["check", "--seq", "fibonacci", "--from", "4", "--to", str(4 + steps + 1),
-                "--direction", "decreasing"]
-        _, default = run_json(capsys, base)
-        _, single = run_json(capsys, base + ["--jobs", "1"])
-        assert default["config"]["jobs"] == min(os.cpu_count() or 1, steps // K)
-        for doc in (default, single):
-            doc.pop("wall_ms")
-            doc["config"].pop("jobs")
-        assert default == single
+    @pytest.mark.parametrize("horizon,jobs", [(18, 1), (19, 2)])
+    def test_default_jobs_count_find_start_steps_from_the_domain_start(
+            self, capsys, monkeypatch, fake_pool, horizon, jobs):
+        # derangements start at n = 2, so a horizon H scans H - 3 steps
+        monkeypatch.setattr("ratiocert.cli._STEPS_PER_WORKER", 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _, doc = run_json(capsys, ["find-start", "--seq", "derangement", "--horizon",
+                                   str(horizon), "--direction", "decreasing"])
+        assert doc["config"]["jobs"] == jobs
+        assert fake_pool.get("workers", 1) == jobs
 
-    def test_jobs_do_not_change_results(self, capsys):
+    def test_jobs_do_not_change_results(self, capsys, monkeypatch):
+        # without --jobs, 150 steps fork at this threshold
+        monkeypatch.setattr("ratiocert.cli._STEPS_PER_WORKER", 8)
         base = ["check", "--seq", "fibonacci", "--from", "1", "--to", "150",
                 "--direction", "decreasing"]
         _, seq = run_json(capsys, base + ["--jobs", "1"])
-        _, par = run_json(capsys, base + ["--jobs", "3"])
-        for doc in (seq, par):
-            doc.pop("wall_ms")
-            doc["config"].pop("jobs")
-        assert seq == par
+        for jobs in (["--jobs", "3"], []):
+            _, par = run_json(capsys, base + jobs)
+            assert par["config"]["jobs"] > 1 or os.cpu_count() == 1
+            for doc in (seq, par):
+                doc.pop("wall_ms", None)
+                doc["config"].pop("jobs", None)
+            assert seq == par
 
 
 class TestOutputFormats:

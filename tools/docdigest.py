@@ -6,14 +6,10 @@ blanked, is one document; the tool prints one line per document:
 
     <sha256 of the document>  <argv>
 
-Run it in one checkout, then compare another against the saved file:
+Run it in two checkouts and diff the outputs:
 
     python tools/docdigest.py > digests.txt
-    python tools/docdigest.py --against digests.txt
     python tools/docdigest.py --dump DIR   # also writes each document to DIR
-
---against lists each document whose digest differs from the file's and exits
-1 if any does; a command the file lacks is listed as new and moves nothing.
 
 Stdlib only.
 """
@@ -75,36 +71,18 @@ def document(argv: list[str]) -> str:
     return _WALL_MS.sub(r"\1", out.getvalue())
 
 
-def run(argv=None) -> int:
+def run(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", type=Path, help="also write each document to this directory")
-    parser.add_argument("--against", type=Path,
-                        help="a saved digest file: list the documents that moved from it")
     args = parser.parse_args(argv)
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
-    saved = {}
-    if args.against:
-        for line in args.against.read_text(encoding="utf-8").splitlines():
-            digest, _, cmd = line.partition("  ")
-            saved[cmd] = digest
-    moved = 0
     for i, cmd in enumerate(CORPUS):
         doc = document(cmd)
         if args.dump:
             (args.dump / f"{i:02d}-{cmd[0]}.txt").write_text(doc, encoding="utf-8")
-        digest, argv_text = hashlib.sha256(doc.encode()).hexdigest(), shlex.join(cmd)
-        if not args.against:
-            print(f"{digest}  {argv_text}", flush=True)
-        elif argv_text not in saved:
-            print(f"new    {argv_text}", flush=True)
-        elif saved[argv_text] != digest:
-            moved += 1
-            print(f"moved  {argv_text}", flush=True)
-    if args.against:
-        print(f"{moved} of {len(CORPUS)} documents moved")
-    return 1 if moved else 0
+        print(f"{hashlib.sha256(doc.encode()).hexdigest()}  {shlex.join(cmd)}", flush=True)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()
