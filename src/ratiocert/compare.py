@@ -32,11 +32,11 @@ a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
 2n(n+2)*ln a_{n+1} - (n+1)(n+2)*ln a_n - n(n+1)*ln a_{n+2} > 0 after
 clearing the positive denominator n(n+1)(n+2).  ratio_step_verdicts streams
 a range of such steps for check_monotone and the paper's window checks.  It
-keeps a record (x, size, lo, hi) per window term: its estimate_exact_bits
-summand and first-rung ln pair.  Where one sequence's three bases are
-distinct, a step's first rung is sign_of_log_combination's, read off the
-records in a few multiply-adds; every other step, and the one after an
-escalation, calls it.
+keeps a record (x, size, lo, hi, pairs) per window term: its
+estimate_exact_bits summand, first-rung ln pair and pairs by rung, each above
+the first computed when a step first asks.  Where one sequence's three bases
+are distinct, a step reads each rung off the records in a few multiply-adds,
+the first inline and the rest in sign_of_log_combination; other steps call it.
 
 evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
 on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
@@ -87,10 +87,10 @@ from .sequences import Product, Sequence
 #   to six times these times.  Refitted, they only moved small steps from the
 #   exact route to the first rung, which measured no faster, and they let an
 #   exact tie climb one rung further (the 3M-bit tie of Geometric(10) at
-#   n = 60: 6 escalations, not 5).  Within a scan each term's first-rung ln
-#   is computed once, when it enters the window, so a step settled on that
-#   rung costs one new term's kernel call and three multiply-adds: at 128
-#   bits about a tenth of the prediction (0.010 ms against 0.127 ms).
+#   n = 60: 6 escalations, not 5).  Within a scan each term's ln is computed
+#   once per rung it reaches, so a step settled on the first rung costs one
+#   new term's kernel call and three multiply-adds: at 128 bits about a
+#   tenth of the prediction (0.010 ms against 0.127 ms).
 _EXACT_S = 1.2e-11
 _EXACT_POWER = 1.58
 _RUNG_TERM_S = 4e-5
@@ -166,6 +166,23 @@ class LogCombination:
                 x = Fraction(x)
             merged[x] = merged.get(x, 0) + c
         return cls(tuple((c, x) for x, c in merged.items() if c != 0))
+
+    def _fixed(self, i: int, bits: int) -> tuple[int, int]:
+        return _combination_fixed(self, bits)  # the pair at rung i, of `bits` bits
+
+
+class _StepCombination(LogCombination):
+    # a scan step's ((c1, a1), (c0, a0), (c2, a2)); pairs[k][i]: term k's pair at rung i
+    def __init__(self, terms, pairs):
+        vars(self).update(terms=terms, pairs=pairs)
+
+    def _fixed(self, i: int, bits: int) -> tuple[int, int]:
+        for (_, x), p in zip(self.terms, self.pairs):
+            if len(p) == i:
+                p.append(_ln_exact(x, bits))
+        ((c1, _), (c0, _), (c2, _)), (p1, p0, p2) = self.terms, self.pairs
+        (l1, h1), (l0, h0), (l2, h2) = p1[i], p0[i], p2[i]
+        return c1 * l1 + c0 * h0 + c2 * h2, c1 * h1 + c0 * l0 + c2 * l2
 
 
 @dataclass(frozen=True)
@@ -275,7 +292,7 @@ def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGIN
     for i, bits in enumerate(engine.rungs):
         if exact_s is not None and exact_s < max(spent, _rung_s(terms, bits)):
             return Verdict(decide_exact(comb), Method.EXACT, None, max(i - 1, 0))
-        lo, hi = _combination_fixed(comb, bits)
+        lo, hi = comb._fixed(i, bits)
         if lo > 0:
             return Verdict(Ordering.GREATER, Method.INTERVAL, bits, i)
         if hi < 0:
@@ -410,44 +427,42 @@ def ratio_step_verdicts(
     bits = engine.rungs[0]
 
     def record(x) -> tuple:
-        # (x, size, lo, hi): the term, its summand of estimate_exact_bits and
-        # its first-rung ln pair, built once for the three steps it serves
+        # (x, size, lo, hi, pairs): the term, its summand of estimate_exact_bits,
+        # its first-rung ln pair and its pairs by rung, for the three steps it serves
         x = x if isinstance(x, (int, Fraction)) else Fraction(x)
         if x <= 0:
             raise ValueError(f"log base must be a positive int or Fraction, got {x!r}")
-        return x, x.numerator.bit_length() + x.denominator.bit_length(), *_ln_exact(x, bits)
+        pair = _ln_exact(x, bits)
+        return x, x.numerator.bit_length() + x.denominator.bit_length(), *pair, [pair]
 
     iters = [map(record, leaf.terms(start, stop)) for leaf in _leaf_sequences(spec)]
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
-    # the record rung reads one leaf's window with all three coefficients nonzero
+    # the records serve one leaf's window with all three coefficients nonzero
     use_records = len(windows) == 1 and start >= 1
     rung_s = _rung_s(3, bits)
     greater, less = (Verdict(o, Method.INTERVAL, bits) for o in (Ordering.GREATER, Ordering.LESS))
 
-    def record_rung(n: int) -> Optional[Verdict]:
-        # sign_of_log_combination's first rung on the records, or None where
-        # that function must decide: a repeated base, the exact route predicted
-        # cheaper than this rung, or zero inside the pair
-        (a0, s0, lo0, hi0), (a1, s1, lo1, hi1), (a2, s2, lo2, hi2) = windows[0]
+    def record_step(n: int) -> Optional[Verdict]:
+        # the first rung inline, the rest in sign_of_log_combination; None where a base repeats
+        (a0, s0, lo0, hi0, p0), (a1, s1, lo1, hi1, p1), (a2, s2, lo2, hi2, p2) = windows[0]
         if a0 == a1 or a1 == a2 or a0 == a2:
             return None
         c1, c0, c2 = _ratio_coefficients(n)  # c1 > 0 > c0, c2
         cost = c1 * s1 - c0 * s0 - c2 * s2
-        if cost <= engine.exact_budget and _exact_s(cost) < rung_s:
-            return None
-        if c1 * lo1 + c0 * hi0 + c2 * hi2 > 0:
-            return greater
-        return less if c1 * hi1 + c0 * lo0 + c2 * lo2 < 0 else None
+        if cost > engine.exact_budget or _exact_s(cost) >= rung_s:
+            if c1 * lo1 + c0 * hi0 + c2 * hi2 > 0:
+                return greater
+            if c1 * hi1 + c0 * lo0 + c2 * lo2 < 0:
+                return less
+        return sign_of_log_combination(
+            _StepCombination(((c1, a1), (c0, a0), (c2, a2)), (p1, p0, p2)), engine)
 
-    try_records = use_records
     for n in range(start, stop - 1):
-        v = record_rung(n) if try_records else None
+        v = record_step(n) if use_records else None
         if v is None:
             terms = ([r[0] for r in w] for w in windows)
             v = sign_of_log_combination(
                 LogCombination.from_pairs(_window_pairs(n, terms)), engine)
-        # near-ties come in runs: after an escalation, start on the ladder
-        try_records = use_records and not v.escalations
         yield n, v
         if n < stop - 2:
             for w, it in zip(windows, iters):

@@ -30,6 +30,7 @@ from ratiocert.compare import (
     find_min_start,
     ratio_step_combination,
     ratio_step_verdict,
+    ratio_step_verdicts,
     ratio_table,
     sign_of_log_combination,
 )
@@ -507,15 +508,20 @@ class TestCheckMonotone:
         Engine(start_bits=16),
         Engine(cap_bits=128, exact_budget=0),
         Engine(exact_budget=0),
+        Engine(cap_bits=256, exact_budget=0),  # near-ties undecided at the cap
+        Engine(start_bits=16, cap_bits=1024, exact_budget=3000),  # near-ties climb from 16 bits
     ], ids=repr)
-    @pytest.mark.parametrize("spec, start, stop", SCAN_CASES,
-                             ids=lambda x: getattr(x, "name", x))
+    @pytest.mark.parametrize("spec, start, stop", [
+        *SCAN_CASES, (Lucas(3, 2), 1, 300), (Lucas(5, 6), 1, 200)],
+        ids=lambda x: getattr(x, "name", x))
     def test_scan_equals_its_step_verdicts(self, spec, start, stop, engine):
-        # the scan decides most steps from its window records; each step must
-        # come out as ratio_step_verdict decides it alone
-        report = check_monotone(spec, start, stop, Direction.DECREASING, engine)
+        # the scan decides most steps on its window records, on the first rung
+        # or up the ladder; each step must come out as ratio_step_verdict
+        # decides it alone: ordering, method, bits and escalations
         steps = range(start, stop - 1)
         verdicts = [ratio_step_verdict(spec, n, engine) for n in steps]
+        assert list(ratio_step_verdicts(spec, start, stop, engine)) == list(zip(steps, verdicts))
+        report = check_monotone(spec, start, stop, Direction.DECREASING, engine)
         undecided = tuple(n for n, v in zip(steps, verdicts)
                           if v.ordering is Ordering.UNDECIDED)
         violations = tuple(n for n, v in zip(steps, verdicts)
@@ -558,6 +564,35 @@ class TestCheckMonotone:
         assert sum(v.escalations for v in seen) == report.stats.escalations
         assert sum(v.method is Method.EXACT for v in seen) == report.stats.exact
         assert len(seen) < report.stop - report.start - 1
+
+    @pytest.mark.parametrize("engine", [DEFAULT_ENGINE, Engine(cap_bits=512)], ids=repr)
+    def test_record_ties_end_on_the_exact_route_after_rungs(self, engine):
+        # each tie of geometric(10) from n = 13 climbs rungs on the records
+        # until the exact route is predicted cheaper or, under the 512-bit
+        # cap, until the ladder ends
+        spec = Geometric(10)
+        verdicts = list(ratio_step_verdicts(spec, 1, 30, engine))
+        assert {(v.ordering, v.method) for _, v in verdicts} == {(Ordering.EQUAL, Method.EXACT)}
+        assert max(v.escalations for _, v in verdicts) == min(3, len(engine.rungs) - 1)
+        for n, v in verdicts:
+            assert v == ratio_step_verdict(spec, n, engine), n
+
+    def test_climbing_steps_ask_the_kernel_once_per_term_and_rung(self):
+        # each term's ln pair at a rung is computed once: the kernel sees one
+        # lookup per term at the first rung and per (term, rung) that a step
+        # climbs to, and none of them repeats
+        from ratiocert import numerics
+
+        spec = Lucas(3, 2)
+        numerics._ln_kernel.cache_clear()
+        check_monotone(spec, 1, 300, Direction.DECREASING)
+        info = numerics._ln_kernel.cache_info()
+        reached = {(k, 0) for k in range(1, 301)}
+        for n, v in ratio_step_verdicts(spec, 1, 300):
+            reached.update((k, i) for k in (n, n + 1, n + 2) for i in range(v.escalations + 1))
+        assert len(reached) > 300
+        assert info.hits == 0
+        assert info.misses == len(reached)
 
 
 class TestFindMinStart:

@@ -58,6 +58,12 @@ CORPUS = [
     ["check", "--seq", "derangement", "--from", "3", "--to", "2000", "--jobs", "1", *_CHECK],
     # without --jobs, enough steps that the default forks a pool on two CPUs
     ["check", "--seq", "fibonacci", "--from", "4", "--to", "20000", *_CHECK],
+    # near-ties on the window records: 139 steps undecided at the cap, then
+    # 7 steps on the exact route and 379 that climb from a 16-bit first rung
+    ["check", "--seq", "lucas:3,2", "--from", "1", "--to", "400", "--precision-cap", "256",
+     "--exact-budget", "0", "--jobs", "1", *_CHECK],
+    ["check", "--seq", "lucas:3,2", "--from", "1", "--to", "400", "--start-bits", "16",
+     "--precision-cap", "1024", "--exact-budget", "3000", "--jobs", "1", *_CHECK],
 ]
 
 _WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
