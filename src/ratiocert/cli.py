@@ -28,7 +28,6 @@ from .compare import (
     ratio_table,
 )
 from .numerics import _aligned, _outward_floats
-from .paperchecks import CheckStatus, paper_suite
 from .sequences import (
     Derangement,
     Harmonic,
@@ -294,6 +293,7 @@ def cmd_find_start(args: argparse.Namespace) -> int:
 
 
 def cmd_paper_suite(args: argparse.Namespace) -> int:
+    from .paperchecks import CheckStatus, paper_suite  # only paper-suite pays its import
     engine = _engine(args)
     sizes = dict(prime_horizon=args.prime_horizon, offset_max=args.offset_max,
                  stirling_max=args.stirling_max)

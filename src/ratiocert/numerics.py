@@ -31,13 +31,14 @@ the bits it drops are not all zero, so a call costs the same for any size of
 term.  A rational goes in as its numerator and denominator, so a sum of
 integer multiples of logs is a sum of pairs, and a narrow fixed-point
 interval [lo, hi] as one call at lo with its upper end padded by
-(hi - lo) / lo.  The kernel's cache is bounded to a scan's working set (64
-entries), keyed by the cut argument, so memory does not grow with the length
-of a scan or the size of its terms.  Constants that are not sums of logs (a
-recurrence's root ratio, n!/e) use three more pair operations at the same
-scale: the product, power and quotient of nonnegative pairs.  The one
-exception is the public interval_e, which keeps its published scale
-2**-(bits+3).
+(hi - lo) / lo.  The kernel's cache (64 entries, keyed by the cut argument)
+serves the callers that read a term again outside a scan's window records:
+the prime checks and neighbouring offset and Stirling instances.  Its bound
+keeps memory flat for any scan and any term size.  Constants that are not
+sums of logs (a recurrence's root ratio, n!/e) use three more pair
+operations at the same scale: the product, power and quotient of
+nonnegative pairs.  The one exception is the public interval_e, which
+keeps its published scale 2**-(bits+3).
 """
 
 from __future__ import annotations
@@ -298,10 +299,10 @@ def _ln_fixed(m: int, e: int, bits: int, pad: int = 0) -> tuple[int, int]:
     return _ln_kernel(cut, e + s, bits, pad + (m & 1 or cut << s != m))
 
 
-# A scan uses each term in three consecutive windows, at the few precisions
-# its steps climb to; 64 entries keep every such reuse while holding only the
-# scan's working set, and _ln_fixed's cut bounds each key by the precision,
-# however long the scan and however large its terms.
+# Scans keep each term's pairs on their window records; the hits here come
+# from the prime checks, which read p_{n+1} again as the next instance's p_n,
+# and from neighbouring offset and Stirling instances.  64 entries, each key
+# bounded by _ln_fixed's cut, keep memory flat for any scan and any term size.
 @lru_cache(maxsize=64)
 def _ln_kernel(m: int, e: int, bits: int, pad: int) -> tuple[int, int]:
     # _ln_fixed's enclosure for an m of at most scale + 3 bits:

@@ -352,10 +352,10 @@ class LucasConstants:
 
 def _lucas_fixed(a: int, b: int, bits: int) -> tuple:
     # (eff, sqrt_disc, alpha, beta, gamma, gamma_abs, q), each an integer pair
-    # at the scale of eff, the first precision max(bits, 64) * 2**j at which
+    # at the scale of eff, the first precision bits * 2**j at which
     # 0 < |gamma| < 1 is certified
     disc = a * a - 4 * b
-    eff = max(bits, 64)
+    eff = bits
     while True:
         one = _fixed_rational(1, eff)[0]
         s_lo = math.isqrt(disc * one * one)

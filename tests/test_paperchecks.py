@@ -101,6 +101,14 @@ class TestLucasGapBound:
     def test_pell_instance(self):
         assert check_lucas_gap_bound(2, -1, 10).status is CheckStatus.CERTIFIED
 
+    def test_reports_the_bits_it_computed_at(self):
+        # 16 bits leave the margin's sign open; the check climbs to 32 and no further
+        out = check_lucas_gap_bound(2, -1, 10, Engine(start_bits=16, cap_bits=64))
+        assert out.status is CheckStatus.CERTIFIED
+        assert out.detail["bits"] == out.stats.max_bits == 32
+        lo, hi = out.detail["margin"]
+        assert hi - lo > 2.0**-40  # as wide as 32 bits leave it, not 64
+
     def test_log5_shape_at_n6(self):
         # at (1,-1), n=6 the right side stays above ln 5 - 1 > 0
         out = check_lucas_gap_bound(1, -1, 6)

@@ -381,6 +381,11 @@ class TestLucasConstants:
         if (a, b) == (3, 2):
             assert lc.gamma.is_point() and lc.gamma.lo.as_fraction() == Fraction(1, 2)
 
+    def test_low_precision_is_used_as_given(self):
+        lc = lucas_constants(1, -1, 16)
+        assert lc.bits == 16
+        assert lc.gamma.encloses(lucas_constants(1, -1, 64).gamma)
+
     def test_validation(self):
         with pytest.raises(InvalidParameters):
             lucas_constants(2, 1, 64)
