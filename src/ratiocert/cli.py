@@ -45,8 +45,6 @@ EXIT_VIOLATIONS = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 
-ENV_MAX_BITS = "RATIOCERT_MAX_BITS"
-
 # Steps per worker without --jobs, measured on fibonacci with 2 CPUs only: cold, --jobs 2
 # lost 16 of 18 runs to --jobs 1 at 8 000 and 10 000 steps and won 8 of 9 at 20 000.  A step
 # is not a unit of work (a lucas:3,2 pool wins from about 5 000 steps), and the route model
@@ -123,17 +121,8 @@ _FLAGS = {"start_bits": "--start-bits", "cap_bits": "--precision-cap",
 
 
 def _engine(args: argparse.Namespace) -> Engine:
-    cap = args.precision_cap
-    if cap is None:
-        env = os.environ.get(ENV_MAX_BITS, str(DEFAULT_ENGINE.cap_bits))
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise UsageError(f"{ENV_MAX_BITS} must be an integer, got {env!r}") from exc
-    if cap < 128:
-        raise UsageError(f"--precision-cap (or {ENV_MAX_BITS}) must be >= 128, got {cap}")
     try:
-        return Engine(args.start_bits, cap, args.exact_budget)
+        return Engine(args.start_bits, args.precision_cap, args.exact_budget)
     except ValueError as exc:
         message = str(exc)
         for name, flag in _FLAGS.items():
@@ -354,7 +343,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     lines += [f"n={n:<8d} ln_r in [{lo:+.12e}, {hi:+.12e}]" for n, _, lo, hi in rows]
     csv_rows = [["n", "ln_r_lo", "ln_r_hi", "method"]]
     csv_rows += [[n, repr(lo), repr(hi), "interval"] for n, _, lo, hi in rows]
-    # table has no ladder: neither the engine flags nor the environment reach it
+    # table has no ladder: the engine flags do not reach it
     _report(args, DEFAULT_ENGINE, dict(seq=seq.name, indices=indices, bits=args.bits),
             results, [], [], MethodStats(interval=len(rows), max_bits=args.bits), wall_ms,
             lines, csv_rows)
@@ -379,9 +368,8 @@ def _add_common(p: argparse.ArgumentParser, *, engine: bool = True, jobs: bool =
     p.add_argument("--out", default=None, help="write the report to a file")
     if not engine:
         return
-    p.add_argument("--precision-cap", type=int, default=None,
-                   help=f"interval ladder cap in bits (default {DEFAULT_ENGINE.cap_bits}, "
-                        f"env {ENV_MAX_BITS})")
+    p.add_argument("--precision-cap", type=int, default=DEFAULT_ENGINE.cap_bits,
+                   help="interval ladder cap in bits, >= --start-bits (default %(default)s)")
     p.add_argument("--start-bits", type=int, default=DEFAULT_ENGINE.start_bits,
                    help="interval ladder starting precision (default %(default)s)")
     p.add_argument("--exact-budget", type=int, default=DEFAULT_ENGINE.exact_budget,

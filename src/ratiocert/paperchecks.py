@@ -19,7 +19,9 @@ the integers and turns a pair into floats, rounded outward, only for its
 
 Every check takes one Engine.  Interval checks climb the same precision
 ladder as the ratio-step verdicts (Engine.rungs: start_bits, doubling up to
-cap_bits) and stop at the first rung that decides them.  Every CheckResult
+cap_bits) and stop at the first rung that decides them.  A rung computes at
+its own bits, the recurrence constants too: a gap-bound rung whose bits do
+not certify 0 < |gamma| < 1 has no q and is undecided.  Every CheckResult
 carries a MethodStats record of the verdicts behind it: one interval verdict
 for a single-ladder check, every verdict reached for a window or a range.
 The record is not part of the JSON document; the CLI sums it into `stats`.
@@ -136,11 +138,15 @@ def _certify(name: str, witness: Optional[dict],
 
 
 def _strict_sign_check(name: str, witness: Optional[dict],
-                       margin_at: Callable[[int], tuple], engine: Engine) -> CheckResult:
-    # margin_at(bits) -> (lo, hi, its scale's bits); Certified iff lo > 0, Refuted iff hi < 0
+                       margin_at: Callable[[int], Optional[tuple]],
+                       engine: Engine) -> CheckResult:
+    # margin_at(bits) -> (lo, hi) at the scale of bits, or None where the rung cannot
+    # enclose the margin; Certified iff lo > 0, Refuted iff hi < 0
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        lo, hi, eff = margin_at(bits)
-        return lo > 0, hi < 0, {"margin": _ivf(lo, hi, eff)}
+        if (margin := margin_at(bits)) is None:
+            return False, False, {}
+        lo, hi = margin
+        return lo > 0, hi < 0, {"margin": _ivf(lo, hi, bits)}
 
     return _certify(name, witness, judge, engine)
 
@@ -180,7 +186,7 @@ def check_log5_positive(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     comb = LogCombination.from_pairs([(1, 5)])
     return _strict_sign_check(
         "log5-minus-one-positive", None,
-        lambda bits: (*_combination_fixed(comb, bits, -1), bits), engine,
+        lambda bits: _combination_fixed(comb, bits, -1), engine,
     )
 
 
@@ -191,11 +197,11 @@ def check_fibonacci_gamma_band(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """The Fibonacci root ratio gamma lies in [-0.3825, -0.3815]."""
 
     def judge(bits: int) -> tuple[bool, bool, dict]:
-        eff, *_, (lo, hi), _abs, _q = _lucas_fixed(1, -1, bits)
+        *_, (lo, hi), _abs, _q = _lucas_fixed(1, -1, bits)
         # the band on integers: lo >= ceil(band_lo * 2**w) and hi <= floor(band_hi * 2**w)
-        lo_band, hi_band = (_fixed_rational(x, eff)[i] for x, i in zip(_GAMMA_BAND, (1, 0)))
+        lo_band, hi_band = (_fixed_rational(x, bits)[i] for x, i in zip(_GAMMA_BAND, (1, 0)))
         return lo >= lo_band and hi <= hi_band, hi < lo_band or lo > hi_band, {
-            "gamma": _ivf(lo, hi, eff)}
+            "gamma": _ivf(lo, hi, bits)}
 
     return _certify("fibonacci-gamma-band", None, judge, engine)
 
@@ -203,11 +209,11 @@ def check_fibonacci_gamma_band(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
 def check_gamma_sixth_power(engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """|gamma|^6 * 7 * 8 < 1/3 for the Fibonacci recurrence."""
 
-    def margin(bits: int) -> tuple[int, int, int]:
-        eff, *_, g, _q = _lucas_fixed(1, -1, bits)
-        third_lo, third_hi = _fixed_rational(Fraction(1, 3), eff)
-        p_lo, p_hi = _pow_fixed(g, 6, eff)
-        return third_lo - 56 * p_hi, third_hi - 56 * p_lo, eff
+    def margin(bits: int) -> tuple[int, int]:
+        *_, g, _q = _lucas_fixed(1, -1, bits)
+        third_lo, third_hi = _fixed_rational(Fraction(1, 3), bits)
+        p_lo, p_hi = _pow_fixed(g, 6, bits)
+        return third_lo - 56 * p_hi, third_hi - 56 * p_lo
 
     return _strict_sign_check("gamma-sixth-power-bound", None, margin, engine)
 
@@ -255,18 +261,20 @@ def check_lucas_gap_bound(
 
     sides = {}
 
-    def margin(bits: int) -> tuple[int, int, int]:
-        eff, *_, g, q = _lucas_fixed(a, b, bits)
-        lhs = _combination_fixed(comb, eff)
-        qg, g2 = _mul_fixed(q, g, eff), _pow_fixed(g, 2, eff)
-        c = (n + 1) * (n + 2) * _fixed_rational(1, eff)[0]
+    def margin(bits: int) -> Optional[tuple[int, int]]:
+        *_, g, q = _lucas_fixed(a, b, bits)
+        if q is None:  # these bits leave 0 < |g| < 1 open, and with it q
+            return None
+        lhs = _combination_fixed(comb, bits)
+        qg, g2 = _mul_fixed(q, g, bits), _pow_fixed(g, 2, bits)
+        c = (n + 1) * (n + 2) * _fixed_rational(1, bits)[0]
         inner = tuple(2 * n * (n + 2) * x + c + n * (n + 1) * y for x, y in zip(qg, g2))
-        t_lo, t_hi = _mul_fixed(_pow_fixed(g, n, eff), inner, eff)
-        d_lo, d_hi = _combination_fixed(ln_disc, eff)
+        t_lo, t_hi = _mul_fixed(_pow_fixed(g, n, bits), inner, bits)
+        d_lo, d_hi = _combination_fixed(ln_disc, bits)
         rhs = (d_lo - t_hi, d_hi - t_lo)
-        sides["lhs"] = _ivf(*lhs, eff)
-        sides["rhs"] = _ivf(*rhs, eff)
-        return lhs[0] - rhs[1], lhs[1] - rhs[0], eff
+        sides["lhs"] = _ivf(*lhs, bits)
+        sides["rhs"] = _ivf(*rhs, bits)
+        return lhs[0] - rhs[1], lhs[1] - rhs[0]
 
     out = _strict_sign_check(
         f"lucas-gap-bound({a},{b},n={n})", {"a": a, "b": b, "n": n}, margin, engine,
@@ -307,7 +315,7 @@ def check_unit_discriminant_tail(
     comb = ratio_step_combination(Lucas(a, b), n)
     d = n * (n + 1) * (n + 2)
     out = _strict_sign_check(
-        name, witness, lambda bits: (*_combination_fixed(comb, bits, -d * w, d), bits), engine,
+        name, witness, lambda bits: _combination_fixed(comb, bits, -d * w, d), engine,
     )
     # w's ends on the finest float grid, 2**-1074, so a tiny w is not flushed to 0.0
     bits = 1074 - _KERNEL_EXTRA_BITS
@@ -405,7 +413,7 @@ def check_log_quadratic_bound(x: Fraction, engine: Engine = DEFAULT_ENGINE) -> C
     comb = LogCombination.from_pairs([(1, 1 + xf)])
     return _strict_sign_check(
         f"log-quadratic-lower(x={xf})", {"x": str(xf)},
-        lambda bits: (*_combination_fixed(comb, bits, xf * xf / 2 - xf), bits), engine,
+        lambda bits: _combination_fixed(comb, bits, xf * xf / 2 - xf), engine,
     )
 
 
@@ -425,7 +433,7 @@ def check_harmonic_xlogx(m: int, n: int, engine: Engine = DEFAULT_ENGINE) -> Che
     return _strict_sign_check(
         f"harmonic-xlogx(m={m},n={n})",
         {"m": m, "n": n, "in_hypothesis": m >= 11 or n >= 30},
-        lambda bits: (*_combination_fixed(comb, bits, -rhs / h), bits), engine,
+        lambda bits: _combination_fixed(comb, bits, -rhs / h), engine,
     )
 
 
@@ -467,7 +475,7 @@ def check_prime_ratio_refinement(n: int, engine: Engine = DEFAULT_ENGINE) -> Che
     p, p_next = nth_prime(n), nth_prime(n + 1)
     return _strict_sign_check(
         f"prime-ratio-refinement(n={n})", {"n": n, "informational": n <= 4},
-        lambda bits: (*_refinement_margin(n, p, p_next, bits), bits), engine,
+        lambda bits: _refinement_margin(n, p, p_next, bits), engine,
     )
 
 

@@ -351,33 +351,32 @@ class LucasConstants:
 
 
 def _lucas_fixed(a: int, b: int, bits: int) -> tuple:
-    # (eff, sqrt_disc, alpha, beta, gamma, gamma_abs, q), each an integer pair
-    # at the scale of eff, the first precision bits * 2**j at which
-    # 0 < |gamma| < 1 is certified
+    # (sqrt_disc, alpha, beta, gamma, gamma_abs, q), each an integer pair at the
+    # scale of bits; q is None where these bits do not certify 0 < |gamma| < 1
     disc = a * a - 4 * b
-    eff = bits
-    while True:
-        one = _fixed_rational(1, eff)[0]
-        s_lo = math.isqrt(disc * one * one)
-        s_hi = s_lo + (s_lo * s_lo != disc * one * one)
-        pa = a * one
-        alpha = ((pa + s_lo) >> 1, (pa + s_hi + 1) >> 1)
-        beta = ((pa - s_hi) >> 1, (pa - s_lo + 1) >> 1)
-        # alpha * beta = b, so gamma = beta / alpha = (a - sqrt(disc))**2 / (4b)
-        t = (max(pa - s_hi, 0), pa - s_lo) if b > 0 else (max(s_lo - pa, 0), s_hi - pa)
-        sq_lo, sq_hi = _mul_fixed(t, t, eff)
-        gamma_abs = (sq_lo // (4 * abs(b)), _ceil_div(sq_hi, 4 * abs(b)))
-        gamma = gamma_abs if b > 0 else (-gamma_abs[1], -gamma_abs[0])
-        if 0 < gamma_abs[0] and gamma_abs[1] < one:
-            l_lo, l_hi = _ln_scaled(one - gamma_abs[1], one - gamma_abs[0], eff)
-            q = _div_fixed((max(-l_hi, 0), -l_lo), gamma_abs, eff)
-            return eff, (s_lo, s_hi), alpha, beta, gamma, gamma_abs, q
-        eff *= 2
+    one = _fixed_rational(1, bits)[0]
+    s_lo = math.isqrt(disc * one * one)
+    s_hi = s_lo + (s_lo * s_lo != disc * one * one)
+    pa = a * one
+    alpha = ((pa + s_lo) >> 1, (pa + s_hi + 1) >> 1)
+    beta = ((pa - s_hi) >> 1, (pa - s_lo + 1) >> 1)
+    # alpha * beta = b, so gamma = beta / alpha = (a - sqrt(disc))**2 / (4b)
+    t = (max(pa - s_hi, 0), pa - s_lo) if b > 0 else (max(s_lo - pa, 0), s_hi - pa)
+    sq_lo, sq_hi = _mul_fixed(t, t, bits)
+    gamma_abs = (sq_lo // (4 * abs(b)), _ceil_div(sq_hi, 4 * abs(b)))
+    gamma = gamma_abs if b > 0 else (-gamma_abs[1], -gamma_abs[0])
+    q = None
+    if 0 < gamma_abs[0] and gamma_abs[1] < one:
+        l_lo, l_hi = _ln_scaled(one - gamma_abs[1], one - gamma_abs[0], bits)
+        q = _div_fixed((max(-l_hi, 0), -l_lo), gamma_abs, bits)
+    return (s_lo, s_hi), alpha, beta, gamma, gamma_abs, q
 
 
 def lucas_constants(a: int, b: int, bits: int) -> LucasConstants:
-    """Certified enclosures of the recurrence's root data at >= bits precision."""
+    """Certified enclosures of the recurrence's root data at >= bits precision:
+    the first of bits, 2 * bits, 4 * bits, ... that certifies 0 < |gamma| < 1."""
     _validate_lucas(a, b)
     _check_bits(bits)
-    eff, *pairs = _lucas_fixed(a, b, bits)
-    return LucasConstants(a, b, a * a - 4 * b, *(_fixed_interval(*p, eff) for p in pairs), eff)
+    while (pairs := _lucas_fixed(a, b, bits))[-1] is None:
+        bits *= 2
+    return LucasConstants(a, b, a * a - 4 * b, *(_fixed_interval(*p, bits) for p in pairs), bits)

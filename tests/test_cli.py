@@ -22,6 +22,7 @@ from ratiocert.cli import (
     main,
     parse_sequence_token,
 )
+from ratiocert.compare import Engine
 from ratiocert.sequences import Derangement, Harmonic, Lucas, Primes, Product
 
 SCHEMA_KEYS = {
@@ -166,6 +167,38 @@ class TestExitCodes:
         )
         del doc
         assert code in (EXIT_VIOLATIONS, EXIT_UNDECIDED)
+
+    def test_tight_cap_makes_suite_undecided(self, capsys):
+        code, doc = run_json(
+            capsys,
+            ["paper-suite", "--prime-horizon", "120", "--offset-max", "60",
+             "--stirling-max", "12", "--precision-cap", "128"],
+        )
+        assert code == EXIT_UNDECIDED
+        assert doc["undecided"]
+
+    @pytest.mark.parametrize("start,cap,budget", [
+        (15, 128, 0), (16, 16, 0), (16, 15, 0), (16, 64, 2**31), (17, 16, 1000),
+        (128, 64, 2**31), (128, 128, -1), (128, 128, 0), (192, 256, 1000),
+    ])
+    def test_engine_flags_accept_what_engine_accepts(self, capsys, start, cap, budget):
+        # the CLI has no rule of its own: Engine's checks, in the flags' names
+        argv = ["check", "--seq", "fibonacci", "--from", "4", "--to", "10",
+                "--direction", "decreasing", "--start-bits", str(start),
+                "--precision-cap", str(cap), "--exact-budget", str(budget), "--format", "json"]
+        try:
+            Engine(start, cap, budget)
+        except ValueError as exc:
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            for field, flag in (("start_bits", "--start-bits"), ("cap_bits", "--precision-cap"),
+                                ("exact_budget", "--exact-budget")):
+                assert (field in str(exc)) == (flag in err) and field not in err, err
+            return
+        assert main(argv) == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["start_bits"], config["precision_cap"], config["exact_budget"]) == (
+            start, cap, budget)
 
     def test_find_start_none_is_violation_exit(self):
         assert main(["find-start", "--seq", "primes", "--horizon", "100",
@@ -479,58 +512,6 @@ class TestOutputFormats:
         assert (f"stats: exact={stats['exact']} interval={stats['interval']} "
                 f"undecided={stats['undecided']} max_bits={stats['max_bits']} "
                 f"escalations={stats['escalations']}") in text.splitlines()
-
-
-class TestEnvironmentVariable:
-    def test_env_cap_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("RATIOCERT_MAX_BITS", "256")
-        _, doc = run_json(
-            capsys,
-            ["check", "--seq", "fibonacci", "--from", "4", "--to", "40",
-             "--direction", "decreasing"],
-        )
-        assert doc["config"]["precision_cap"] == 256
-
-    def test_explicit_flag_wins(self, capsys, monkeypatch):
-        monkeypatch.setenv("RATIOCERT_MAX_BITS", "256")
-        _, doc = run_json(
-            capsys,
-            ["check", "--seq", "fibonacci", "--from", "4", "--to", "40",
-             "--direction", "decreasing", "--precision-cap", "512"],
-        )
-        assert doc["config"]["precision_cap"] == 512
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("RATIOCERT_MAX_BITS", "not-a-number")
-        assert main(["check", "--seq", "fibonacci", "--from", "4", "--to", "40",
-                     "--direction", "decreasing"]) == EXIT_USAGE
-        monkeypatch.setenv("RATIOCERT_MAX_BITS", "64")
-        assert main(["check", "--seq", "fibonacci", "--from", "4", "--to", "40",
-                     "--direction", "decreasing"]) == EXIT_USAGE
-
-    def test_table_ignores_the_cap_it_does_not_use(self, capsys, monkeypatch):
-        argv = ["table", "--seq", "fibonacci", "--indices", "10"]
-        for fmt in ("text", "json"):
-            assert main(argv + ["--format", fmt]) == EXIT_OK
-            plain = capsys.readouterr().out
-            monkeypatch.setenv("RATIOCERT_MAX_BITS", "64")
-            assert main(argv + ["--format", fmt]) == EXIT_OK
-            capped = capsys.readouterr().out
-            monkeypatch.delenv("RATIOCERT_MAX_BITS")
-            if fmt == "json":
-                plain, capped = json.loads(plain), json.loads(capped)
-                plain.pop("wall_ms"), capped.pop("wall_ms")
-            assert capped == plain
-
-    def test_tight_env_cap_makes_suite_undecided(self, capsys, monkeypatch):
-        monkeypatch.setenv("RATIOCERT_MAX_BITS", "128")
-        code, doc = run_json(
-            capsys,
-            ["paper-suite", "--prime-horizon", "120", "--offset-max", "60",
-             "--stirling-max", "12"],
-        )
-        assert code == EXIT_UNDECIDED
-        assert doc["undecided"]
 
 
 def test_docdigest_corpus_parses(monkeypatch):

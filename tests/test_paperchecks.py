@@ -109,6 +109,25 @@ class TestLucasGapBound:
         lo, hi = out.detail["margin"]
         assert hi - lo > 2.0**-40  # as wide as 32 bits leave it, not 64
 
+    def test_constants_climb_the_engine_ladder(self):
+        # |gamma| = 1 - 2**-24 + ...: 16 bits cannot certify |gamma| < 1, so that rung
+        # has no q and is undecided; the next rung, 32 bits, decides the check
+        a = 2**26 + 2
+        b = (a * a - 4) // 4
+        out = check_lucas_gap_bound(a, b, 3, Engine(start_bits=16, cap_bits=16))
+        assert out.status is CheckStatus.UNDECIDED
+        assert out.detail["bits"] == out.stats.max_bits == 16
+        out = check_lucas_gap_bound(a, b, 3, Engine(start_bits=16, cap_bits=64))
+        assert out.status is CheckStatus.CERTIFIED
+        assert out.detail["bits"] == out.stats.max_bits == 32
+        assert out.stats.escalations == 1
+        at32 = check_lucas_gap_bound(a, b, 3, Engine(start_bits=32, cap_bits=32))
+        for key in ("margin", "lhs", "rhs"):
+            assert out.detail[key] == at32.detail[key], key
+        constants = lucas_constants(a, b, 16)
+        assert constants.bits >= 16
+        assert constants.gamma_abs.hi.as_fraction() < 1 and constants.q.lo.as_fraction() > 0
+
     def test_log5_shape_at_n6(self):
         # at (1,-1), n=6 the right side stays above ln 5 - 1 > 0
         out = check_lucas_gap_bound(1, -1, 6)

@@ -36,6 +36,8 @@ CORPUS = [
     ["paper-suite", "--format", "text"],
     # below 64 start bits, so the recurrence constants start at the given precision
     ["paper-suite", "--start-bits", "16", "--format", "json"],
+    # a cap at the start bits: checks the first rung leaves open end undecided
+    ["paper-suite", "--precision-cap", "128", "--format", "json"],
     ["check", "--seq", "fibonacci", "--from", "4", "--to", "400", "--jobs", "1", *_CHECK],
     ["check", "--seq", "fibonacci", "--from", "1", "--to", "400", "--jobs", "2", *_CHECK],
     ["check", "--seq", "product(fibonacci,derangement)", "--from", "2", "--to", "120",
