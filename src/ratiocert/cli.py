@@ -27,7 +27,7 @@ from .compare import (
     min_start_from_report,
     ratio_table,
 )
-from .numerics import _aligned, _outward_floats
+from .numerics import MIN_PRECISION_BITS, _aligned, _outward_floats
 from .sequences import (
     Derangement,
     Harmonic,
@@ -47,7 +47,7 @@ EXIT_USAGE = 64
 
 # Steps per worker without --jobs, measured on fibonacci with 2 CPUs only: cold, --jobs 2
 # lost 16 of 18 runs to --jobs 1 at 8 000 and 10 000 steps and won 8 of 9 at 20 000.  A step
-# is not a unit of work (a lucas:3,2 pool wins from about 5 000 steps), and the route model
+# is not a unit of work (a lucas:3,2 pool wins from about 3 000 steps), and the route model
 # cannot tell before the scan what precision its steps need.  More CPUs are extrapolated.
 _STEPS_PER_WORKER = 6000
 
@@ -425,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--to", dest="stop", type=int, default=None)
     p_table.add_argument("--step", type=_at_least(1), default=None,
                          help="range step, with --from/--to only (default 1)")
-    p_table.add_argument("--bits", type=_at_least(16), default=DEFAULT_ENGINE.start_bits)
+    p_table.add_argument("--bits", type=_at_least(MIN_PRECISION_BITS),
+                         default=DEFAULT_ENGINE.start_bits)
     _add_common(p_table, engine=False)
     p_table.set_defaults(func=cmd_table)
 

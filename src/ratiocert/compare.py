@@ -32,11 +32,12 @@ a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
 2n(n+2)*ln a_{n+1} - (n+1)(n+2)*ln a_n - n(n+1)*ln a_{n+2} > 0 after
 clearing the positive denominator n(n+1)(n+2).  ratio_step_verdicts streams
 a range of such steps for check_monotone and the paper's window checks.  It
-keeps a record (x, size, lo, hi, pairs) per window term: its
-estimate_exact_bits summand, first-rung ln pair and pairs by rung, each above
-the first computed when a step first asks.  Where one sequence's three bases
-are distinct, a step reads each rung off the records in a few multiply-adds,
-the first inline and the rest in sign_of_log_combination; other steps call it.
+keeps a record (x, size, lo, hi, pairs) per window term: its share of a
+combination's size, first-rung ln pair and pairs by rung, each above the first
+computed when a step first asks.  Where one sequence's three bases are
+distinct, a step sums its size and reads each rung off the records in a few
+multiply-adds, the first inline and the rest in sign_of_log_combination, which
+it passes the size it summed; other steps call that function directly.
 
 evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
 on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
@@ -143,16 +144,20 @@ DEFAULT_ENGINE = Engine()
 @dataclass(frozen=True)
 class LogCombination:
     """Sum of c * ln(x) over the (c, x) pairs in `terms`: each c a nonzero
-    int, each x a positive int or Fraction."""
+    int, each x a positive int or Fraction.  The estimated bit size of its
+    exact cross-power is summed once, as `size`."""
 
     terms: tuple[tuple[int, int | Fraction], ...]
 
     def __post_init__(self) -> None:
+        size = 0
         for c, x in self.terms:
             if not isinstance(c, int) or c == 0:
                 raise ValueError(f"coefficient must be a nonzero integer, got {c!r}")
             if not isinstance(x, (int, Fraction)) or x <= 0:
                 raise ValueError(f"log base must be a positive int or Fraction, got {x!r}")
+            size += abs(c) * (x.numerator.bit_length() + x.denominator.bit_length())
+        object.__setattr__(self, "size", size)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, object]]) -> "LogCombination":
@@ -171,10 +176,12 @@ class LogCombination:
         return _combination_fixed(self, bits)  # the pair at rung i, of `bits` bits
 
 
-class _StepCombination(LogCombination):
-    # a scan step's ((c1, a1), (c0, a0), (c2, a2)); pairs[k][i]: term k's pair at rung i
-    def __init__(self, terms, pairs):
-        vars(self).update(terms=terms, pairs=pairs)
+class _StepCombination:
+    # a scan step's ((c1, a1), (c0, a0), (c2, a2)) and size; pairs[k][i]: term k's pair at rung i
+    __slots__ = ("terms", "size", "pairs")
+
+    def __init__(self, terms, size, pairs):
+        self.terms, self.size, self.pairs = terms, size, pairs
 
     def _fixed(self, i: int, bits: int) -> tuple[int, int]:
         for (_, x), p in zip(self.terms, self.pairs):
@@ -205,10 +212,7 @@ class Verdict:
 
 def estimate_exact_bits(comb: LogCombination) -> int:
     """Upper estimate of the bit size of the exact cross-power comparison."""
-    return sum(
-        abs(c) * (x.numerator.bit_length() + x.denominator.bit_length())
-        for c, x in comb.terms
-    )
+    return comb.size
 
 
 def decide_exact(comb: LogCombination) -> Ordering:
@@ -284,20 +288,20 @@ def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGIN
     """Certified sign of the combination; see module docstring for routes."""
     if not comb.terms:
         return Verdict(Ordering.EQUAL, Method.EXACT, None)
-    cost = estimate_exact_bits(comb)
     # predicted seconds of the exact route, None where it may not run
-    exact_s = _exact_s(cost) if cost <= engine.exact_budget else None
+    exact_s = _exact_s(comb.size) if comb.size <= engine.exact_budget else None
     terms = len(comb.terms)
     spent = 0.0
     for i, bits in enumerate(engine.rungs):
-        if exact_s is not None and exact_s < max(spent, _rung_s(terms, bits)):
+        rung_s = _rung_s(terms, bits)
+        if exact_s is not None and exact_s < max(spent, rung_s):
             return Verdict(decide_exact(comb), Method.EXACT, None, max(i - 1, 0))
         lo, hi = comb._fixed(i, bits)
         if lo > 0:
             return Verdict(Ordering.GREATER, Method.INTERVAL, bits, i)
         if hi < 0:
             return Verdict(Ordering.LESS, Method.INTERVAL, bits, i)
-        spent += _rung_s(terms, bits)
+        spent += rung_s
     if exact_s is not None:
         return Verdict(decide_exact(comb), Method.EXACT, None, i)
     return Verdict(Ordering.UNDECIDED, Method.INTERVAL, bits, i)
@@ -427,7 +431,7 @@ def ratio_step_verdicts(
     bits = engine.rungs[0]
 
     def record(x) -> tuple:
-        # (x, size, lo, hi, pairs): the term, its summand of estimate_exact_bits,
+        # (x, size, lo, hi, pairs): the term, its share of a combination's size,
         # its first-rung ln pair and its pairs by rung, for the three steps it serves
         x = x if isinstance(x, (int, Fraction)) else Fraction(x)
         if x <= 0:
@@ -455,7 +459,7 @@ def ratio_step_verdicts(
             if c1 * hi1 + c0 * lo0 + c2 * lo2 < 0:
                 return less
         return sign_of_log_combination(
-            _StepCombination(((c1, a1), (c0, a0), (c2, a2)), (p1, p0, p2)), engine)
+            _StepCombination(((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2)), engine)
 
     for n in range(start, stop - 1):
         v = record_step(n) if use_records else None

@@ -50,27 +50,16 @@ def _validate_lucas(a: int, b: int) -> None:
         raise InvalidParameters(f"discriminant {a * a - 4 * b} must be positive")
 
 
-def _mat_mul(x, y):
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
 def _lucas_pair(a: int, b: int, n: int) -> tuple[int, int]:
-    # (u_n, u_{n+1}) by binary powering of the companion matrix [[a, -b], [1, 0]]
-    result = (1, 0, 0, 1)
-    base = (a, -b, 1, 0)
-    k = n
-    while k:
-        if k & 1:
-            result = _mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = _mat_mul(base, base)
-    return result[2], result[0]
+    # (u_n, u_{n+1}) from (u_0, u_1) = (0, 1) over the bits of n, doubling with
+    # u_{2k} = u_k (2 u_{k+1} - a u_k) and u_{2k+1} = u_{k+1}^2 - b u_k^2, and
+    # stepping once more on each 1 bit
+    u, v = 0, 1
+    for bit in f"{n:b}":
+        u, v = u * (2 * v - a * u), v * v - b * u * u
+        if bit == "1":
+            u, v = v, a * v - b * u
+    return u, v
 
 
 def lucas_term(a: int, b: int, n: int) -> int:

@@ -158,15 +158,17 @@ class TestExitCodes:
         assert main(["--help"]) == EXIT_OK
 
     def test_undecided_scan(self, capsys):
-        # starved engine: no exact fallback and a floor-level cap
+        # starved engine: no exact route and one rung, below the near-ties of lucas(3,2)
         code, doc = run_json(
             capsys,
-            ["check", "--seq", "primes", "--from", "900", "--to", "910",
+            ["check", "--seq", "lucas:3,2", "--from", "200", "--to", "220",
              "--direction", "decreasing", "--precision-cap", "128",
-             "--start-bits", "128", "--exact-budget", "1"],
+             "--start-bits", "128", "--exact-budget", "0"],
         )
-        del doc
-        assert code in (EXIT_VIOLATIONS, EXIT_UNDECIDED)
+        assert code == EXIT_UNDECIDED
+        assert doc["violations"] == []
+        assert doc["undecided"] == list(range(200, 219))
+        assert doc["stats"]["undecided"] == 19
 
     def test_tight_cap_makes_suite_undecided(self, capsys):
         code, doc = run_json(

@@ -107,6 +107,19 @@ class TestLogCombination:
         # from_pairs converts any other base exactly, as before
         assert LogCombination.from_pairs([(1, 0.5)]).terms == ((1, Fraction(1, 2)),)
 
+    def test_size_sums_each_term_once(self):
+        # the cross-power estimate: |c| times the bits of x's numerator and denominator
+        for pairs in ([], [(3, 7)], [(5, Fraction(22, 7)), (-2, Fraction(1, 1024))],
+                      [(3, Fraction(2)), (-1, 2), (4, Fraction(9, 4)), (-4, Fraction(4, 9))],
+                      [(12, 2**100 + 1), (-13, Fraction(3**50, 5**20)), (1, 6)]):
+            comb = LogCombination.from_pairs(pairs)
+            assert comb.size == sum(
+                abs(c) * (x.numerator.bit_length() + x.denominator.bit_length())
+                for c, x in comb.terms)
+            assert estimate_exact_bits(comb) == comb.size
+        merged = LogCombination.from_pairs([(3, Fraction(2)), (-1, 2), (1, Fraction(1, 2))])
+        assert merged.size == 2 * 3 + 1 * 3
+
     def test_empty_combination_is_equal(self):
         v = sign_of_log_combination(LogCombination.from_pairs([]))
         assert v.ordering is Ordering.EQUAL and v.method is Method.EXACT
@@ -593,6 +606,22 @@ class TestCheckMonotone:
         assert len(reached) > 300
         assert info.hits == 0
         assert info.misses == len(reached)
+
+    def test_climbing_steps_size_once(self, monkeypatch):
+        # a step that climbs past its inline first rung hands on the size it summed
+        from ratiocert import compare
+
+        calls = []
+        original = compare.estimate_exact_bits
+
+        def counting(comb):
+            calls.append(comb)
+            return original(comb)
+
+        monkeypatch.setattr(compare, "estimate_exact_bits", counting)
+        report = check_monotone(Lucas(3, 2), 1, 300, Direction.DECREASING)
+        assert calls == []
+        assert report.stats == MethodStats(exact=17, interval=281, max_bits=512, escalations=206)
 
 
 class TestFindMinStart:

@@ -26,6 +26,7 @@ from ratiocert.sequences import (
     Product,
     Sequence,
     SquarefreeSum,
+    _lucas_pair,
     derangement_term,
     fibonacci,
     harmonic_term,
@@ -79,9 +80,12 @@ class TestLucas:
             assert lucas_term(3, 2, n) == 2**n - 1
 
     def test_matrix_equals_iteration(self):
+        # the doubling pair (u_n, u_{n+1}) against plain iteration, both values
         for a, b in ((1, -1), (2, -1), (3, 2), (5, 6), (4, -7)):
-            for n in range(0, 65):
-                assert lucas_term(a, b, n) == iterative_lucas(a, b, n)
+            for n in [*range(0, 301), 1000, 4097, 20000]:
+                pair = iterative_lucas(a, b, n), iterative_lucas(a, b, n + 1)
+                assert _lucas_pair(a, b, n) == pair, (a, b, n)
+                assert lucas_term(a, b, n) == pair[0]
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameters):

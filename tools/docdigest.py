@@ -68,6 +68,8 @@ CORPUS = [
      "--exact-budget", "0", "--jobs", "1", *_CHECK],
     ["check", "--seq", "lucas:3,2", "--from", "1", "--to", "400", "--start-bits", "16",
      "--precision-cap", "1024", "--exact-budget", "3000", "--jobs", "1", *_CHECK],
+    # each gap in the indices starts a run at a Lucas pair of a large index
+    ["table", "--seq", "lucas:3,2", "--indices", "5,700,20000,20001", "--format", "json"],
 ]
 
 _WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
