@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, pairwise
-from typing import Iterable, Iterator, Optional, Sequence as Seq
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence as Seq
 
 from .numerics import (
     MIN_PRECISION_BITS,
@@ -62,7 +62,9 @@ from .numerics import (
     _ln_exact,
     interval_ln,  # noqa: F401 -- unused here; perfbench's tracer test reads it
 )
-from .sequences import Product, Sequence
+
+if TYPE_CHECKING:
+    from .sequences import Sequence
 
 # Cost model for choosing the route, in seconds on an Intel Xeon (2 CPUs,
 # Python 3.11).  Only the ratio of the two predictions matters, and it is
@@ -329,12 +331,6 @@ def _ratio_coefficients(n: int) -> tuple[int, int, int]:
     return 2 * n * (n + 2), -(n + 1) * (n + 2), -n * (n + 1)
 
 
-def _leaf_sequences(spec: Sequence) -> list[Sequence]:
-    if isinstance(spec, Product):
-        return _leaf_sequences(spec.left) + _leaf_sequences(spec.right)
-    return [spec]
-
-
 def _window_pairs(n: int, windows: Iterable[Iterable[int | Fraction]]):
     c1, c0, c2 = _ratio_coefficients(n)
     for a0, a1, a2 in windows:
@@ -350,7 +346,7 @@ def ratio_step_combination(spec: Sequence, n: int) -> LogCombination:
     is the same object as the combination of the product sequence.
     """
     spec._validate_index(n)
-    windows = [tuple(leaf.terms(n, n + 2)) for leaf in _leaf_sequences(spec)]
+    windows = [tuple(leaf.terms(n, n + 2)) for leaf in spec._leaves]
     return LogCombination.from_pairs(_window_pairs(n, windows))
 
 
@@ -439,7 +435,7 @@ def ratio_step_verdicts(
         pair = _ln_exact(x, bits)
         return x, x.numerator.bit_length() + x.denominator.bit_length(), *pair, [pair]
 
-    iters = [map(record, leaf.terms(start, stop)) for leaf in _leaf_sequences(spec)]
+    iters = [map(record, leaf.terms(start, stop)) for leaf in spec._leaves]
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
     # the records serve one leaf's window with all three coefficients nonzero
     use_records = len(windows) == 1 and start >= 1

@@ -1,9 +1,10 @@
 """Exact generators for the sequence families under study.
 
 All terms are exact: integers for the combinatorial families, Fractions for
-the generalized harmonic numbers.  Scans use the streaming `terms` iterators,
-which cost O(1) big-integer operations per step instead of recomputing each
-term from scratch.
+the generalized harmonic numbers.  Each family's `terms` iterator is its one
+walk, which `term`, `derangement_term` and `harmonic_term` read and scans
+stream at O(1) big-integer operations per step.  A product's `_leaves` are its
+factors, which a scan streams one by one.
 """
 
 from __future__ import annotations
@@ -74,24 +75,15 @@ def derangement_term(n: int) -> int:
     """Number of permutations of n elements with no fixed point."""
     if n < 1:
         raise IndexBelowDomainStart(f"index {n} below 1")
-    d = 0
-    sign = -1
-    for k in range(2, n + 1):
-        sign = -sign
-        d = k * d + sign
-    return d
+    return Derangement().term(n) if n > 1 else 0
 
 
 def harmonic_term(m: int, n: int) -> Fraction:
     """Generalized harmonic number H_n^(m) = sum_{k<=n} 1/k**m, exact."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameters(f"harmonic order must be an int >= 1, got {m!r}")
+    seq = Harmonic(m)
     if n < 1:
         raise IndexBelowDomainStart(f"index {n} below 1")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction(1, k**m)
-    return total
+    return seq.term(n)
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +99,14 @@ _SF_SUMS: list[int] = [0]
 _SF_NEXT = 1
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, f in enumerate(flags) if f]
-
-
 def _sieve_past(lo: int, hi: int, squares: bool) -> Iterator[int]:
     # lo <= i < hi (lo >= 1) not struck by a base prime p <= isqrt(hi - 1):
-    # its multiples from p*p, or with squares the multiples of p*p
+    # its multiples from p*p, or with squares the multiples of p*p.  The base
+    # primes are this sieve's own output over 2..isqrt(hi - 1), so a fill
+    # recurses about log log hi levels, down to a range with no base prime
     flags = bytearray([1]) * (hi - lo)
-    for p in _simple_sieve(math.isqrt(hi - 1)):
+    root = math.isqrt(hi - 1)
+    for p in _sieve_past(2, root + 1, False) if root >= 2 else ():
         step = p * p if squares else p
         start = max(p * p, -(-lo // step) * step) - lo
         flags[start::step] = bytes(len(range(start, hi - lo, step)))
@@ -178,7 +162,9 @@ def squarefree_sum(n: int) -> int:
 
 class Sequence:
     """Base for positive exact sequences; a family sets domain_start and name
-    and defines terms, the one source of its terms."""
+    and defines terms, its one walk and the one source of its terms.  _leaves
+    are the factors whose terms multiply to the sequence's: itself, or a
+    product's leaves."""
 
     domain_start: int = 1
     # True when terms(start, stop) walks the recurrence from the domain start
@@ -189,6 +175,10 @@ class Sequence:
     @property
     def name(self) -> str:
         raise NotImplementedError
+
+    @property
+    def _leaves(self) -> tuple[Sequence, ...]:
+        return (self,)
 
     def term(self, n: int) -> int | Fraction:
         """The n-th term: the first item of terms(n, n)."""
@@ -241,11 +231,12 @@ class Derangement(Sequence):
         return "derangement"
 
     def terms(self, start: int, stop: int) -> Iterator[int]:
+        # D_{n+1} = (n + 1) D_n + (-1)^(n+1) from D_2 = 1
         self._validate_index(start)
-        d = derangement_term(start)
-        sign = 1 if start % 2 == 0 else -1
-        for n in range(start, stop + 1):
-            yield d
+        d, sign = 1, 1
+        for n in range(2, stop + 1):
+            if n >= start:
+                yield d
             sign = -sign
             d = (n + 1) * d + sign
 
@@ -265,10 +256,11 @@ class Harmonic(Sequence):
 
     def terms(self, start: int, stop: int) -> Iterator[Fraction]:
         self._validate_index(start)
-        h = harmonic_term(self.m, start)
-        for n in range(start, stop + 1):
-            yield h
-            h += Fraction(1, (n + 1) ** self.m)
+        h = Fraction(0)
+        for k in range(1, stop + 1):
+            h += Fraction(1, k**self.m)
+            if k >= start:
+                yield h
 
 
 @dataclass(frozen=True)
@@ -309,6 +301,10 @@ class Product(Sequence):
     @property
     def term_walks(self) -> bool:  # type: ignore[override]
         return self.left.term_walks and self.right.term_walks
+
+    @property
+    def _leaves(self) -> tuple[Sequence, ...]:
+        return self.left._leaves + self.right._leaves
 
     @property
     def name(self) -> str:

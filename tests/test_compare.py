@@ -349,7 +349,7 @@ class TestRatioStep:
         assert coeffs[Fraction(5)] == -6 * 7  # a_n
         assert coeffs[Fraction(13)] == -5 * 6  # a_{n+2}
 
-    def test_one_matrix_power_per_leaf(self, monkeypatch):
+    def test_one_lucas_pair_per_leaf(self, monkeypatch):
         # the three window terms stream from one _lucas_pair, not one each
         from ratiocert import sequences
         window = {lucas_term(3, 2, k) for k in (40, 41, 42)}
@@ -672,29 +672,33 @@ class TestRatioTable:
                 [(n, derangement_term(n + 1)), (-(n + 1), derangement_term(n))])
             return n, evaluate_combination(comb, bits, divisor=n * (n + 1))
 
+        # derangement_term reads Derangement.term, so the rows come first
+        indices = [9, 7, 8, 8, 3, 4, 5, 2]
+        gapped = [40, 40, 52, 90, 3, 3, 17, 60, 5]
+        rows = {"run": [expected(n) for n in range(2, 300)],
+                "indices": [expected(n, 256) for n in indices],
+                "stepped": [expected(n) for n in range(2, 300, 7)],
+                "gapped": [expected(n) for n in gapped]}
+
         def no_term(self, n):
             raise AssertionError("ratio_table called Derangement.term")
 
         monkeypatch.setattr(Derangement, "term", no_term)
-        assert ratio_table(Derangement(), range(2, 300)) == [expected(n) for n in range(2, 300)]
-        indices = [9, 7, 8, 8, 3, 4, 5, 2]
-        assert ratio_table(Derangement(), indices, 256) == [expected(n, 256) for n in indices]
+        assert ratio_table(Derangement(), range(2, 300)) == rows["run"]
+        assert ratio_table(Derangement(), indices, 256) == rows["indices"]
         # a stepped range and runs with gaps also stream, since a derangement
-        # term walks from the start anyway: only the first term of a run is
-        # computed from scratch, and a run ends where an index falls
-        from ratiocert import sequences
-
+        # term walks from the start anyway: each run streams Derangement.terms
+        # once, from its first index, and a run ends where an index falls
         starts = []
+        terms = Derangement.terms
 
-        def first_term(n):
-            starts.append(n)
-            return derangement_term(n)
+        def counting(self, start, stop):
+            starts.append(start)
+            return terms(self, start, stop)
 
-        monkeypatch.setattr(sequences, "derangement_term", first_term)
-        assert ratio_table(Derangement(), range(2, 300, 7)) == [
-            expected(n) for n in range(2, 300, 7)]
-        indices = [40, 40, 52, 90, 3, 3, 17, 60, 5]
-        assert ratio_table(Derangement(), indices) == [expected(n) for n in indices]
+        monkeypatch.setattr(Derangement, "terms", counting)
+        assert ratio_table(Derangement(), range(2, 300, 7)) == rows["stepped"]
+        assert ratio_table(Derangement(), gapped) == rows["gapped"]
         assert starts == [2, 40, 3, 5]
 
     def test_lucas_gaps_start_new_runs(self, monkeypatch):

@@ -36,6 +36,11 @@ def test_check_never_loads_paperchecks():
     assert _fresh(code) == "0 False"
 
 
+def test_compare_never_loads_sequences():
+    code = "import ratiocert.compare; print('ratiocert.sequences' in sys.modules)"
+    assert _fresh(code) == "False"
+
+
 def test_a_name_is_its_module_object():
     code = "import ratiocert; print(ratiocert.check_monotone is ratiocert.compare.check_monotone)"
     assert _fresh(code) == "True"

@@ -429,17 +429,18 @@ class TestStreamedWindowsAndRange:
         assert bool(fallbacks) == (engine.start_bits == 16)
 
     def test_harmonic_window_sums_each_order_once(self, monkeypatch):
-        from ratiocert import sequences
+        from ratiocert.sequences import Harmonic
 
         orders = []
+        terms = Harmonic.terms
 
-        def counting(m, n):
-            orders.append(m)
-            return harmonic_term(m, n)
+        def counting(self, start, stop):
+            orders.append(self.m)
+            return terms(self, start, stop)
 
-        monkeypatch.setattr(sequences, "harmonic_term", counting)
+        monkeypatch.setattr(Harmonic, "terms", counting)
         assert check_harmonic_window().status is CheckStatus.CERTIFIED
-        assert len(orders) == len(set(orders)) <= 10
+        assert orders == list(range(1, 11))
 
     def test_certified_range_builds_no_instance_detail(self, monkeypatch):
         def no_floats(*args):

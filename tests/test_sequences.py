@@ -79,7 +79,7 @@ class TestLucas:
         for n in range(0, 40):
             assert lucas_term(3, 2, n) == 2**n - 1
 
-    def test_matrix_equals_iteration(self):
+    def test_doubling_pair_equals_iteration(self):
         # the doubling pair (u_n, u_{n+1}) against plain iteration, both values
         for a, b in ((1, -1), (2, -1), (3, 2), (5, 6), (4, -7)):
             for n in [*range(0, 301), 1000, 4097, 20000]:
@@ -148,6 +148,10 @@ class TestDerangement:
     def test_streaming_matches(self):
         d = Derangement()
         assert list(d.terms(2, 25)) == [d.term(n) for n in range(2, 26)]
+        # every start reads the one walk from D_2
+        walk = list(d.terms(2, 120))
+        for s in (2, 3, 17, 40):
+            assert list(d.terms(s, 120)) == walk[s - 2:]
 
 
 class TestHarmonic:
@@ -185,6 +189,10 @@ class TestHarmonic:
     def test_streaming(self):
         h = Harmonic(3)
         assert list(h.terms(1, 15)) == [h.term(n) for n in range(1, 16)]
+        # every start reads the one sum from k = 1
+        walk = list(h.terms(1, 120))
+        for s in (1, 3, 17, 40):
+            assert list(h.terms(s, 120)) == walk[s - 1:]
 
 
 class TestPrimes:
@@ -212,7 +220,7 @@ class TestPrimes:
         monkeypatch.setattr(sequences, "_PRIME_SIEVED_TO", 1)
         for n in range(1, 3001):
             nth_prime(n)
-        assert sequences._PRIMES == sequences._simple_sieve(sequences._PRIME_SIEVED_TO)
+        assert sequences._PRIMES == list(sympy.primerange(2, sequences._PRIME_SIEVED_TO + 1))
         assert len(sequences._PRIMES) >= 3000
 
     def test_domain(self):
@@ -258,16 +266,17 @@ class TestSquarefree:
         monkeypatch.setattr(sequences, "_SF_SUMS", [0])
         monkeypatch.setattr(sequences, "_SF_NEXT", 1)
         segments = []
-        sieve = sequences._simple_sieve
+        sieve = sequences._sieve_past
 
-        def counting(limit):
-            segments.append(limit)
-            return sieve(limit)
+        def counting(lo, hi, squares):
+            if squares:
+                segments.append((lo, hi))
+            return sieve(lo, hi, squares)
 
-        monkeypatch.setattr(sequences, "_simple_sieve", counting)
+        monkeypatch.setattr(sequences, "_sieve_past", counting)
         for count in range(1, 2001):
             assert squarefree_sum(count) == brute[count]
-        assert len(segments) <= 16
+        assert 0 < len(segments) <= 16
 
     def test_streaming(self):
         s = SquarefreeSum()
@@ -303,6 +312,26 @@ class TestProductAndDispatch:
         p = Product(Product(fibonacci(), Derangement()), Harmonic(2))
         assert p.term(3) == 2 * 2 * Fraction(49, 36)
         assert "product(" in p.name
+        assert p._leaves == (fibonacci(), Derangement(), Harmonic(2))
+
+    def test_term_functions_read_their_families_walks(self, monkeypatch):
+        taken = []
+
+        def counting(cls):
+            terms = cls.terms
+
+            def walk(self, start, stop):
+                for x in terms(self, start, stop):
+                    taken.append((cls.__name__, start))
+                    yield x
+
+            monkeypatch.setattr(cls, "terms", walk)
+
+        counting(Derangement)
+        counting(Harmonic)
+        assert derangement_term(30) == sympy.subfactorial(30)
+        assert harmonic_term(3, 30) == sum(Fraction(1, k**3) for k in range(1, 31))
+        assert taken == [("Derangement", 30), ("Harmonic", 30)]
 
     def test_positivity_of_all_builtins(self):
         for seq in (fibonacci(), Lucas(3, 2), Derangement(), Harmonic(1),

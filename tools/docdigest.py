@@ -70,6 +70,11 @@ CORPUS = [
      "--precision-cap", "1024", "--exact-budget", "3000", "--jobs", "1", *_CHECK],
     # each gap in the indices starts a run at a Lucas pair of a large index
     ["table", "--seq", "lucas:3,2", "--indices", "5,700,20000,20001", "--format", "json"],
+    # both walking families as the leaves of one product
+    ["check", "--seq", "product(harmonic:2,derangement)", "--from", "2", "--to", "80",
+     "--jobs", "1", *_CHECK],
+    # gaps and a restart on a walking family
+    ["table", "--seq", "harmonic:3", "--indices", "3,4,50,200,201,7", "--format", "json"],
 ]
 
 _WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
