@@ -31,13 +31,15 @@ Root-ratio monotonicity reduces to such signs: with r_n =
 a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
 2n(n+2)*ln a_{n+1} - (n+1)(n+2)*ln a_n - n(n+1)*ln a_{n+2} > 0 after
 clearing the positive denominator n(n+1)(n+2).  ratio_step_verdicts streams
-a range of such steps for check_monotone and the paper's window checks.  It
-keeps a record (x, size, lo, hi, pairs) per window term: its share of a
-combination's size, first-rung ln pair and pairs by rung, each above the first
-computed when a step first asks.  Where one sequence's three bases are
-distinct, a step sums its size and reads each rung off the records in a few
-multiply-adds, the first inline and the rest in sign_of_log_combination, which
-it passes the size it summed; other steps call that function directly.
+a range of such steps for the paper's window checks and for check_monotone,
+which tallies verdicts and stats as it reads.  It keeps a record (x, size, lo,
+hi, pairs) per window term: its share of a combination's size, first-rung ln
+pair (one kernel call for an int) and pairs by rung, each above the first
+computed when a step first asks.  A one-leaf scan settles most steps in one
+loop on the records: where the three bases are distinct, a step sums its size
+and reads the first rung off them in a few multiply-adds; one left open climbs
+in sign_of_log_combination from that pair, with the size it summed.  Other
+steps call that function directly.
 
 evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
 on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
@@ -60,6 +62,7 @@ from .numerics import (
     _fixed_interval,
     _fixed_rational,
     _ln_exact,
+    _ln_fixed,
     interval_ln,  # noqa: F401 -- unused here; perfbench's tracer test reads it
 )
 
@@ -179,13 +182,16 @@ class LogCombination:
 
 
 class _StepCombination:
-    # a scan step's ((c1, a1), (c0, a0), (c2, a2)) and size; pairs[k][i]: term k's pair at rung i
-    __slots__ = ("terms", "size", "pairs")
+    # a scan step's ((c1, a1), (c0, a0), (c2, a2)), size and first-rung pair;
+    # pairs[k][i]: term k's pair at rung i
+    __slots__ = ("terms", "size", "pairs", "first")
 
-    def __init__(self, terms, size, pairs):
-        self.terms, self.size, self.pairs = terms, size, pairs
+    def __init__(self, terms, size, pairs, first):
+        self.terms, self.size, self.pairs, self.first = terms, size, pairs, first
 
     def _fixed(self, i: int, bits: int) -> tuple[int, int]:
+        if not i:  # reached only where the scan's inline rung ran, by the same exact-first test
+            return self.first
         for (_, x), p in zip(self.terms, self.pairs):
             if len(p) == i:
                 p.append(_ln_exact(x, bits))
@@ -326,13 +332,9 @@ def cmp_roots(a_lo: int | Fraction, n: int, a_hi: int | Fraction,
 # ratio-step decisions and range scans
 
 
-def _ratio_coefficients(n: int) -> tuple[int, int, int]:
-    # weights of (a_{n+1}, a_n, a_{n+2}) after clearing n(n+1)(n+2)
-    return 2 * n * (n + 2), -(n + 1) * (n + 2), -n * (n + 1)
-
-
 def _window_pairs(n: int, windows: Iterable[Iterable[int | Fraction]]):
-    c1, c0, c2 = _ratio_coefficients(n)
+    # weights of (a_{n+1}, a_n, a_{n+2}) after clearing n(n+1)(n+2)
+    c1, c0, c2 = 2 * n * (n + 2), -(n + 1) * (n + 2), -n * (n + 1)
     for a0, a1, a2 in windows:
         yield (c1, a1)
         yield (c0, a0)
@@ -429,6 +431,9 @@ def ratio_step_verdicts(
     def record(x) -> tuple:
         # (x, size, lo, hi, pairs): the term, its share of a combination's size,
         # its first-rung ln pair and its pairs by rung, for the three steps it serves
+        if type(x) is int and x > 0:
+            pair = _ln_fixed(x, 0, bits)
+            return x, x.bit_length() + 1, *pair, [pair]
         x = x if isinstance(x, (int, Fraction)) else Fraction(x)
         if x <= 0:
             raise ValueError(f"log base must be a positive int or Fraction, got {x!r}")
@@ -436,34 +441,43 @@ def ratio_step_verdicts(
         return x, x.numerator.bit_length() + x.denominator.bit_length(), *pair, [pair]
 
     iters = [map(record, leaf.terms(start, stop)) for leaf in spec._leaves]
+    if len(iters) == 1 and start >= 1:
+        # one leaf's window, all three coefficients nonzero: the first rung
+        # inline on the records, the rest in sign_of_log_combination
+        it = iters[0]
+        budget, rung_s = engine.exact_budget, _rung_s(3, bits)
+        greater = Verdict(Ordering.GREATER, Method.INTERVAL, bits)
+        less = Verdict(Ordering.LESS, Method.INTERVAL, bits)
+        r1, r2 = next(it), next(it)
+        for n in range(start, stop - 1):
+            r0, r1, r2 = r1, r2, next(it)
+            (a0, s0, lo0, hi0, p0), (a1, s1, lo1, hi1, p1), (a2, s2, lo2, hi2, p2) = r0, r1, r2
+            if a0 == a1 or a1 == a2 or a0 == a2:
+                yield n, sign_of_log_combination(
+                    LogCombination.from_pairs(_window_pairs(n, [(a0, a1, a2)])), engine)
+                continue
+            c2 = -n * (n + 1)
+            c0 = -(n + 1) * (n + 2)
+            c1 = -c0 - c2 - 2  # 2n(n + 2)
+            cost = c1 * s1 - c0 * s0 - c2 * s2
+            lo = hi = None
+            if cost > budget or _exact_s(cost) >= rung_s:
+                lo = c1 * lo1 + c0 * hi0 + c2 * hi2
+                if lo > 0:
+                    yield n, greater
+                    continue
+                hi = c1 * hi1 + c0 * lo0 + c2 * lo2
+                if hi < 0:
+                    yield n, less
+                    continue
+            yield n, sign_of_log_combination(_StepCombination(
+                ((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2), (lo, hi)), engine)
+        return
     windows = [deque(islice(it, 3), maxlen=3) for it in iters]
-    # the records serve one leaf's window with all three coefficients nonzero
-    use_records = len(windows) == 1 and start >= 1
-    rung_s = _rung_s(3, bits)
-    greater, less = (Verdict(o, Method.INTERVAL, bits) for o in (Ordering.GREATER, Ordering.LESS))
-
-    def record_step(n: int) -> Optional[Verdict]:
-        # the first rung inline, the rest in sign_of_log_combination; None where a base repeats
-        (a0, s0, lo0, hi0, p0), (a1, s1, lo1, hi1, p1), (a2, s2, lo2, hi2, p2) = windows[0]
-        if a0 == a1 or a1 == a2 or a0 == a2:
-            return None
-        c1, c0, c2 = _ratio_coefficients(n)  # c1 > 0 > c0, c2
-        cost = c1 * s1 - c0 * s0 - c2 * s2
-        if cost > engine.exact_budget or _exact_s(cost) >= rung_s:
-            if c1 * lo1 + c0 * hi0 + c2 * hi2 > 0:
-                return greater
-            if c1 * hi1 + c0 * lo0 + c2 * lo2 < 0:
-                return less
-        return sign_of_log_combination(
-            _StepCombination(((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2)), engine)
-
     for n in range(start, stop - 1):
-        v = record_step(n) if use_records else None
-        if v is None:
-            terms = ([r[0] for r in w] for w in windows)
-            v = sign_of_log_combination(
-                LogCombination.from_pairs(_window_pairs(n, terms)), engine)
-        yield n, v
+        terms = ([r[0] for r in w] for w in windows)
+        yield n, sign_of_log_combination(
+            LogCombination.from_pairs(_window_pairs(n, terms)), engine)
         if n < stop - 2:
             for w, it in zip(windows, iters):
                 w.append(next(it))
@@ -485,16 +499,19 @@ def check_monotone(
     expected = Ordering.GREATER if direction is Direction.DECREASING else Ordering.LESS
     violations: list[int] = []
     undecided: list[int] = []
-
-    def tally() -> Iterator[Verdict]:
-        for n, v in ratio_step_verdicts(spec, start, stop, engine):
-            if v.ordering is Ordering.UNDECIDED:
-                undecided.append(n)
-            elif v.ordering is not expected:
-                violations.append(n)
-            yield v
-
-    stats = MethodStats.of(tally())
+    exact = interval = max_bits = escalations = 0
+    for n, v in ratio_step_verdicts(spec, start, stop, engine):
+        if v.method is Method.EXACT:
+            exact += 1
+        else:
+            interval += 1
+            if v.bits > max_bits:
+                max_bits = v.bits
+        if v.ordering is Ordering.UNDECIDED:
+            undecided.append(n)
+        elif v.ordering is not expected:
+            violations.append(n)
+        escalations += v.escalations
     return MonotonicityReport(
         sequence=spec.name,
         start=start,
@@ -502,7 +519,7 @@ def check_monotone(
         direction=direction,
         violations=tuple(violations),
         undecided=tuple(undecided),
-        stats=stats,
+        stats=MethodStats(exact, interval, len(undecided), max_bits, escalations),
     )
 
 

@@ -6,6 +6,7 @@ verdict, so the two paths are continuously checked against each other.
 
 import pickle
 import random
+import re
 from fractions import Fraction
 from typing import Iterator
 
@@ -62,6 +63,19 @@ class Geometric(Sequence):
         self._validate_index(start)
         for n in range(start, stop + 1):
             yield Fraction(self.c) ** n
+
+
+class GivenTerms(Sequence):
+    """The given terms from index 1, for checks on what a scan reads."""
+
+    name = "given"
+
+    def __init__(self, *values) -> None:
+        self.values = values
+
+    def terms(self, start: int, stop: int) -> Iterator:
+        self._validate_index(start)
+        yield from self.values[start - 1:stop]
 
 
 def brute_sign(comb: LogCombination) -> Ordering:
@@ -621,6 +635,95 @@ class TestCheckMonotone:
         monkeypatch.setattr(compare, "estimate_exact_bits", counting)
         report = check_monotone(Lucas(3, 2), 1, 300, Direction.DECREASING)
         assert calls == []
+        assert report.stats == MethodStats(exact=17, interval=281, max_bits=512, escalations=206)
+
+
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    @pytest.mark.parametrize("spec, start, stop", SCAN_CASES,
+                             ids=lambda x: getattr(x, "name", x))
+    def test_scan_tallies_its_step_verdicts_in_both_directions(
+            self, spec, start, stop, direction):
+        # check_monotone counts as it reads; each count must be what the
+        # steps decided one by one give, for either claimed direction
+        steps = range(start, stop - 1)
+        verdicts = [ratio_step_verdict(spec, n) for n in steps]
+        expected = Ordering.GREATER if direction is Direction.DECREASING else Ordering.LESS
+        report = check_monotone(spec, start, stop, direction)
+        undecided = tuple(n for n, v in zip(steps, verdicts)
+                          if v.ordering is Ordering.UNDECIDED)
+        violations = tuple(n for n, v in zip(steps, verdicts)
+                           if v.ordering not in (expected, Ordering.UNDECIDED))
+        assert report.violations == violations
+        assert report.undecided == undecided
+        assert report.min_valid_start == (violations[-1] + 1 if violations else start)
+        interval = [v for v in verdicts if v.method is Method.INTERVAL]
+        assert report.stats == MethodStats(
+            exact=len(verdicts) - len(interval),
+            interval=len(interval),
+            undecided=len(undecided),
+            max_bits=max((v.bits for v in interval), default=0),
+            escalations=sum(v.escalations for v in verdicts),
+        )
+        assert report.stats == MethodStats.of(verdicts)
+
+    @pytest.mark.parametrize("bad", [0, -5, Fraction(0)], ids=repr)
+    def test_scan_rejects_a_nonpositive_term(self, bad):
+        # an int term's log skips the Fraction path, but not its check
+        spec = GivenTerms(2, 3, 5, bad, 7, 11)
+        message = re.escape(f"log base must be a positive int or Fraction, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            check_monotone(spec, 1, 6, Direction.DECREASING)
+        steps = ratio_step_verdicts(spec, 1, 6)
+        assert next(steps)[0] == 1
+        with pytest.raises(ValueError, match=message):
+            next(steps)
+
+    def test_climbing_steps_read_each_term_pair_at_its_rung(self, monkeypatch):
+        # every pair a climbing step reads off the records is the term's ln
+        # enclosure at that rung, for int terms up to 300 bits wide: wider
+        # than the kernel reads at 128 bits, so they are cut
+        from ratiocert import compare
+        from ratiocert.numerics import _ln_exact
+
+        steps = []
+
+        class Recorded(compare._StepCombination):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                steps.append(self)
+
+        monkeypatch.setattr(compare, "_StepCombination", Recorded)
+        check_monotone(Lucas(3, 2), 1, 300, Direction.DECREASING)
+        assert max(x for comb in steps for _, x in comb.terms).bit_length() == 300
+        for comb in steps:
+            for (_, x), pairs in zip(comb.terms, comb.pairs):
+                assert type(x) is int
+                for bits, pair in zip(DEFAULT_ENGINE.rungs, pairs):
+                    assert pair == _ln_exact(x, bits)
+
+    def test_climbing_steps_start_from_their_inline_pair(self, monkeypatch):
+        # a step that its inline first rung leaves open hands that rung's pair
+        # to the ladder: no record's rung-0 pair is summed a second time
+        from ratiocert import compare
+
+        fixed = compare._StepCombination._fixed
+        opened = []
+
+        def rung_0_unread(comb, i, bits):
+            if i:
+                return fixed(comb, i, bits)
+            opened.append(comb)
+            pairs, comb.pairs = comb.pairs, tuple([None, *p[1:]] for p in comb.pairs)
+            try:
+                return fixed(comb, i, bits)
+            finally:
+                comb.pairs = pairs
+
+        monkeypatch.setattr(compare._StepCombination, "_fixed", rung_0_unread)
+        report = check_monotone(Lucas(3, 2), 1, 300, Direction.DECREASING)
+        assert len(opened) > 100
         assert report.stats == MethodStats(exact=17, interval=281, max_bits=512, escalations=206)
 
 

@@ -75,6 +75,11 @@ CORPUS = [
      "--jobs", "1", *_CHECK],
     # gaps and a restart on a walking family
     ["table", "--seq", "harmonic:3", "--indices", "3,4,50,200,201,7", "--format", "json"],
+    # Fraction terms on the window records, and the longest int scan of scan-128
+    ["check", "--seq", "harmonic:3", "--from", "3", "--to", "60", "--direction", "increasing",
+     "--jobs", "1", "--format", "json"],
+    ["check", "--seq", "squarefree-sum", "--from", "7", "--to", "6000", "--direction",
+     "increasing", "--jobs", "1", "--format", "json"],
 ]
 
 _WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
