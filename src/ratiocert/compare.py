@@ -23,9 +23,10 @@ builds no Fraction.  Three routes exist:
   unresolved there.  The prediction only picks the route: the certificate,
   and so the sign, comes from the route that ran.
 
-One frozen Engine carries every setting of a decision: the ladder's start
-and cap and the exact budget.  DEFAULT_ENGINE holds the defaults, and every
-function below that decides a sign takes an Engine.
+One Engine carries every setting of a decision: the ladder's start and cap
+and the exact budget.  DEFAULT_ENGINE holds the defaults, and every function
+below that decides a sign takes an Engine.  Engine, LogCombination, Verdict,
+MethodStats and MonotonicityReport are immutable records on numerics._Value.
 
 Root-ratio monotonicity reduces to such signs: with r_n =
 a_{n+1}^{1/(n+1)} / a_n^{1/n}, the comparison r_n > r_{n+1} is equivalent to
@@ -48,9 +49,9 @@ on the same integers, in a DyadicInterval for callers that keep it (ratio_table)
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, pairwise
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence as Seq
 
@@ -63,6 +64,7 @@ from .numerics import (
     _fixed_rational,
     _ln_exact,
     _ln_fixed,
+    _Value,
     interval_ln,  # noqa: F401 -- unused here; perfbench's tracer test reads it
 )
 
@@ -114,55 +116,54 @@ class Method(Enum):
     INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
-class Engine:
+class Engine(_Value):
     """Settings of every certificate: the precision ladder starts at
     start_bits and doubles up to cap_bits, the exact route builds no
     cross-power estimated above exact_budget bits (0 leaves the ladder
-    alone).  The ladder is stored once as `rungs`."""
+    alone).  The ladder is stored once as `rungs`, outside the fields."""
 
-    start_bits: int = 128
-    cap_bits: int = 1 << 16
-    exact_budget: int = 1 << 31
+    _fields = ("start_bits", "cap_bits", "exact_budget")
+    __slots__ = (*_fields, "rungs")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.start_bits, int) or self.start_bits < MIN_PRECISION_BITS:
+    def __init__(self, start_bits=128, cap_bits=1 << 16, exact_budget=1 << 31) -> None:
+        if not isinstance(start_bits, int) or start_bits < MIN_PRECISION_BITS:
             raise ValueError(
-                f"start_bits must be an int >= {MIN_PRECISION_BITS}, got {self.start_bits!r}")
-        for name in ("cap_bits", "exact_budget"):
-            value = getattr(self, name)
+                f"start_bits must be an int >= {MIN_PRECISION_BITS}, got {start_bits!r}")
+        for name, value in (("cap_bits", cap_bits), ("exact_budget", exact_budget)):
             if not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.cap_bits < self.start_bits:
-            raise ValueError(f"cap_bits {self.cap_bits} is below start_bits {self.start_bits}")
-        if self.exact_budget < 0:
-            raise ValueError(f"exact_budget must be >= 0, got {self.exact_budget}")
-        rungs = [self.start_bits]
-        while rungs[-1] < self.cap_bits:
-            rungs.append(min(rungs[-1] * 2, self.cap_bits))
-        object.__setattr__(self, "rungs", tuple(rungs))
+        if cap_bits < start_bits:
+            raise ValueError(f"cap_bits {cap_bits} is below start_bits {start_bits}")
+        if exact_budget < 0:
+            raise ValueError(f"exact_budget must be >= 0, got {exact_budget}")
+        super().__init__(start_bits, cap_bits, exact_budget)
+        rungs = [start_bits]
+        while rungs[-1] < cap_bits:
+            rungs.append(min(rungs[-1] * 2, cap_bits))
+        self._set("rungs", tuple(rungs))
 
 
 DEFAULT_ENGINE = Engine()
 
 
-@dataclass(frozen=True)
-class LogCombination:
+class LogCombination(_Value):
     """Sum of c * ln(x) over the (c, x) pairs in `terms`: each c a nonzero
     int, each x a positive int or Fraction.  The estimated bit size of its
-    exact cross-power is summed once, as `size`."""
+    exact cross-power is summed once, as `size`, outside the fields."""
 
-    terms: tuple[tuple[int, int | Fraction], ...]
+    _fields = ("terms",)
+    __slots__ = ("terms", "size")
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[tuple[int, int | Fraction], ...]) -> None:
         size = 0
-        for c, x in self.terms:
+        for c, x in terms:
             if not isinstance(c, int) or c == 0:
                 raise ValueError(f"coefficient must be a nonzero integer, got {c!r}")
             if not isinstance(x, (int, Fraction)) or x <= 0:
                 raise ValueError(f"log base must be a positive int or Fraction, got {x!r}")
             size += abs(c) * (x.numerator.bit_length() + x.denominator.bit_length())
-        object.__setattr__(self, "size", size)
+        self._set("terms", terms)
+        self._set("size", size)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, object]]) -> "LogCombination":
@@ -200,14 +201,16 @@ class _StepCombination:
         return c1 * l1 + c0 * h0 + c2 * h2, c1 * h1 + c0 * l0 + c2 * l2
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Comparison outcome plus the certificate that produced it."""
 
-    ordering: Ordering
-    method: Method
-    bits: Optional[int]
-    escalations: int = 0
+    __slots__ = _fields = ("ordering", "method", "bits", "escalations")
+
+    def __init__(self, ordering: Ordering, method: Method, bits: Optional[int], escalations=0):
+        self._set("ordering", ordering)
+        self._set("method", method)
+        self._set("bits", bits)
+        self._set("escalations", escalations)
 
     def to_json(self) -> dict:
         return {
@@ -357,16 +360,18 @@ def ratio_step_verdict(spec: Sequence, n: int, engine: Engine = DEFAULT_ENGINE) 
     return sign_of_log_combination(ratio_step_combination(spec, n), engine)
 
 
-@dataclass(frozen=True)
-class MethodStats:
+class MethodStats(_Value):
     """Tally of verdicts by route; an undecided interval verdict counts under
     both `interval` and `undecided`."""
 
-    exact: int = 0
-    interval: int = 0
-    undecided: int = 0
-    max_bits: int = 0
-    escalations: int = 0
+    __slots__ = _fields = ("exact", "interval", "undecided", "max_bits", "escalations")
+
+    def __init__(self, exact=0, interval=0, undecided=0, max_bits=0, escalations=0) -> None:
+        self._set("exact", exact)
+        self._set("interval", interval)
+        self._set("undecided", undecided)
+        self._set("max_bits", max_bits)
+        self._set("escalations", escalations)
 
     @classmethod
     def of(cls, verdicts: Iterable[Verdict]) -> "MethodStats":
@@ -393,18 +398,12 @@ class MethodStats:
 
     def to_json(self) -> dict:
         # the field order is the JSON key order
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    sequence: str
-    start: int
-    stop: int
-    direction: Direction
-    violations: tuple[int, ...]
-    undecided: tuple[int, ...]
-    stats: MethodStats
+class MonotonicityReport(_Value):
+    __slots__ = _fields = ("sequence", "start", "stop", "direction", "violations", "undecided",
+                           "stats")
 
     @property
     def min_valid_start(self) -> int:
@@ -412,6 +411,14 @@ class MonotonicityReport:
 
     def certified(self) -> bool:
         return not self.violations and not self.undecided
+
+
+def _log_base(x) -> int | Fraction:
+    # a scan's term as a log base, an int or Fraction(x), checked before from_pairs merges it
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    if x <= 0:
+        raise ValueError(f"log base must be a positive int or Fraction, got {x!r}")
+    return x
 
 
 def ratio_step_verdicts(
@@ -434,17 +441,15 @@ def ratio_step_verdicts(
         if type(x) is int and x > 0:
             pair = _ln_fixed(x, 0, bits)
             return x, x.bit_length() + 1, *pair, [pair]
-        x = x if isinstance(x, (int, Fraction)) else Fraction(x)
-        if x <= 0:
-            raise ValueError(f"log base must be a positive int or Fraction, got {x!r}")
+        x = _log_base(x)
         pair = _ln_exact(x, bits)
         return x, x.numerator.bit_length() + x.denominator.bit_length(), *pair, [pair]
 
-    iters = [map(record, leaf.terms(start, stop)) for leaf in spec._leaves]
-    if len(iters) == 1 and start >= 1:
+    leaves = spec._leaves
+    if len(leaves) == 1 and start >= 1:
         # one leaf's window, all three coefficients nonzero: the first rung
         # inline on the records, the rest in sign_of_log_combination
-        it = iters[0]
+        it = map(record, leaves[0].terms(start, stop))
         budget, rung_s = engine.exact_budget, _rung_s(3, bits)
         greater = Verdict(Ordering.GREATER, Method.INTERVAL, bits)
         less = Verdict(Ordering.LESS, Method.INTERVAL, bits)
@@ -473,23 +478,18 @@ def ratio_step_verdicts(
             yield n, sign_of_log_combination(_StepCombination(
                 ((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2), (lo, hi)), engine)
         return
-    windows = [deque(islice(it, 3), maxlen=3) for it in iters]
+    # a product's leaves, or a window from index 0: each step from_pairs, on the terms alone
+    iters = [map(_log_base, leaf.terms(start, stop)) for leaf in leaves]
+    windows = [deque(islice(it, 2), maxlen=3) for it in iters]
     for n in range(start, stop - 1):
-        terms = ([r[0] for r in w] for w in windows)
+        for w, it in zip(windows, iters):
+            w.append(next(it))
         yield n, sign_of_log_combination(
-            LogCombination.from_pairs(_window_pairs(n, terms)), engine)
-        if n < stop - 2:
-            for w, it in zip(windows, iters):
-                w.append(next(it))
+            LogCombination.from_pairs(_window_pairs(n, windows)), engine)
 
 
-def check_monotone(
-    spec: Sequence,
-    start: int,
-    stop: int,
-    direction: Direction,
-    engine: Engine = DEFAULT_ENGINE,
-) -> MonotonicityReport:
+def check_monotone(spec: Sequence, start: int, stop: int, direction: Direction,
+                   engine: Engine = DEFAULT_ENGINE) -> MonotonicityReport:
     """Scan ratio steps n = start..stop-2 against the claimed direction.
 
     Indices whose verdict contradicts the direction (including an exact tie)
@@ -512,15 +512,9 @@ def check_monotone(
         elif v.ordering is not expected:
             violations.append(n)
         escalations += v.escalations
-    return MonotonicityReport(
-        sequence=spec.name,
-        start=start,
-        stop=stop,
-        direction=direction,
-        violations=tuple(violations),
-        undecided=tuple(undecided),
-        stats=MethodStats(exact, interval, len(undecided), max_bits, escalations),
-    )
+    stats = MethodStats(exact, interval, len(undecided), max_bits, escalations)
+    return MonotonicityReport(spec.name, start, stop, direction, tuple(violations),
+                              tuple(undecided), stats)
 
 
 def combine_reports(parts: Seq[MonotonicityReport]) -> MonotonicityReport:
@@ -540,22 +534,11 @@ def combine_reports(parts: Seq[MonotonicityReport]) -> MonotonicityReport:
             raise ValueError(
                 f"non-contiguous blocks: [{prev.start},{prev.stop}] then [{cur.start},{cur.stop}]"
             )
-    violations: tuple[int, ...] = ()
-    undecided: tuple[int, ...] = ()
-    stats = MethodStats()
-    for part in parts:
-        violations += part.violations
-        undecided += part.undecided
-        stats = stats.merged(part.stats)
     return MonotonicityReport(
-        sequence=first.sequence,
-        start=first.start,
-        stop=parts[-1].stop,
-        direction=first.direction,
-        violations=violations,
-        undecided=undecided,
-        stats=stats,
-    )
+        first.sequence, first.start, parts[-1].stop, first.direction,
+        tuple(n for part in parts for n in part.violations),
+        tuple(n for part in parts for n in part.undecided),
+        reduce(MethodStats.merged, (part.stats for part in parts)))
 
 
 def find_min_start(

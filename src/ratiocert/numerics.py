@@ -1,4 +1,5 @@
-"""Certified ln and e on fixed-point integers, and the dyadic certificate type.
+"""Certified ln and e on fixed-point integers, the dyadic certificate type, and
+_Value, the slotted base of the package's immutable value classes.
 
 Every approximate quantity is a plain integer pair (lo, hi) meaning
 [lo, hi] * 2**-w, at one scale w = bits + 8 per precision.  Every operation
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -87,27 +87,63 @@ def _shr_ceil(x: int, s: int) -> int:
     return -((-x) >> s)
 
 
+class _Value:
+    """Base of the immutable value classes: __slots__ keeps a class's fields,
+    _fields names them in constructor order.  As with a frozen dataclass, equality
+    (same class, equal fields), hash and repr read the fields and assignment raises
+    AttributeError; pickle (the --jobs pool) rebuilds an object through __init__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _set = object.__setattr__  # how an __init__ stores a field, past __setattr__ below
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = dict(zip(self._fields, args), **kwargs)  # each field by position or name
+        if len(args) + len(kwargs) != len(values) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}")
+        for name in self._fields:
+            self._set(name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 @total_ordering
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(_Value):
     """A dyadic rational mantissa * 2**exponent, normalized so the mantissa
     is odd (or zero with exponent zero); equal values are structurally equal,
-    so the dataclass __eq__ is exact and the order needs only __lt__."""
+    so comparing the fields is exact and the order needs only __lt__."""
 
-    mantissa: int
-    exponent: int
+    __slots__ = _fields = ("mantissa", "exponent")
 
-    def __post_init__(self) -> None:
-        m, e = self.mantissa, self.exponent
-        if m == 0:
-            e = 0
+    def __init__(self, mantissa: int, exponent: int) -> None:
+        if mantissa:
+            tz = (mantissa & -mantissa).bit_length() - 1
+            mantissa >>= tz
+            exponent += tz
         else:
-            tz = (m & -m).bit_length() - 1
-            if tz:
-                m >>= tz
-                e += tz
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", e)
+            exponent = 0
+        self._set("mantissa", mantissa)
+        self._set("exponent", exponent)
 
     def as_fraction(self) -> Fraction:
         if self.exponent >= 0:
@@ -158,24 +194,26 @@ def _aligned(a: Dyadic, b: Dyadic) -> tuple[int, int, int]:
     return a.mantissa << (a.exponent - e), b.mantissa << (b.exponent - e), e
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
+class DyadicInterval(_Value):
     """Closed interval with dyadic endpoints, lo <= hi."""
 
-    lo: Dyadic
-    hi: Dyadic
+    __slots__ = _fields = ("lo", "hi")
 
+    def __init__(self, lo: Dyadic, hi: Dyadic) -> None:
+        super().__init__(lo, hi)
+        self.__post_init__()
+
+    # apart from __init__: tests and the benchmark's tracer count intervals by patching it
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
     @classmethod
     def point(cls, x) -> "DyadicInterval":
+        if isinstance(x, int):
+            x = Dyadic(x, 0)
         if isinstance(x, Dyadic):
             return cls(x, x)
-        if isinstance(x, int):
-            d = Dyadic(x, 0)
-            return cls(d, d)
         raise TypeError(f"cannot make an exact point from {type(x).__name__}")
 
     def width(self) -> Dyadic:

@@ -37,7 +37,6 @@ whose result is then the one reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -66,6 +65,7 @@ from .numerics import (
     _mul_fixed,
     _outward_floats,
     _pow_fixed,
+    _Value,
 )
 from .sequences import (
     Derangement,
@@ -90,13 +90,16 @@ class NotUnitDiscriminant(ValueError):
     """Raised when a unit-discriminant-only check gets other parameters."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: CheckStatus
-    witness: Optional[dict]
-    detail: dict
-    stats: MethodStats
+class CheckResult(_Value):
+    __slots__ = _fields = ("name", "status", "witness", "detail", "stats")
+
+    def __init__(self, name: str, status: CheckStatus, witness: Optional[dict], detail: dict,
+                 stats: MethodStats) -> None:
+        self._set("name", name)
+        self._set("status", status)
+        self._set("witness", witness)
+        self._set("detail", detail)
+        self._set("stats", stats)
 
     def to_json(self) -> dict:
         return {

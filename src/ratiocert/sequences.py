@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, islice
 from typing import Iterator
 
 from .numerics import (
-    DyadicInterval,
     _ceil_div,
     _check_bits,
     _div_fixed,
@@ -25,6 +23,7 @@ from .numerics import (
     _fixed_rational,
     _ln_scaled,
     _mul_fixed,
+    _Value,
 )
 
 
@@ -166,15 +165,12 @@ class Sequence:
     are the factors whose terms multiply to the sequence's: itself, or a
     product's leaves."""
 
+    name: str
     domain_start: int = 1
     # True when terms(start, stop) walks the recurrence from the domain start
     # to reach start, so that streaming through indices nobody asked for costs
     # no more than starting afresh at the next asked-for term
     term_walks: bool = False
-
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
 
     @property
     def _leaves(self) -> tuple[Sequence, ...]:
@@ -195,13 +191,12 @@ class Sequence:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Lucas(Sequence):
-    a: int
-    b: int
+class Lucas(Sequence, _Value):
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        _validate_lucas(self.a, self.b)
+    def __init__(self, a: int, b: int) -> None:
+        _validate_lucas(a, b)
+        super().__init__(a, b)
 
     @property
     def name(self) -> str:
@@ -221,14 +216,10 @@ def fibonacci() -> Lucas:
     return Lucas(1, -1)
 
 
-@dataclass(frozen=True)
-class Derangement(Sequence):
+class Derangement(Sequence, _Value):
+    name = "derangement"
     domain_start = 2
     term_walks = True
-
-    @property
-    def name(self) -> str:
-        return "derangement"
 
     def terms(self, start: int, stop: int) -> Iterator[int]:
         # D_{n+1} = (n + 1) D_n + (-1)^(n+1) from D_2 = 1
@@ -241,14 +232,14 @@ class Derangement(Sequence):
             d = (n + 1) * d + sign
 
 
-@dataclass(frozen=True)
-class Harmonic(Sequence):
-    m: int
+class Harmonic(Sequence, _Value):
+    __slots__ = _fields = ("m",)
     term_walks = True
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise InvalidParameters(f"harmonic order must be an int >= 1, got {self.m!r}")
+    def __init__(self, m: int) -> None:
+        if not isinstance(m, int) or m < 1:
+            raise InvalidParameters(f"harmonic order must be an int >= 1, got {m!r}")
+        super().__init__(m)
 
     @property
     def name(self) -> str:
@@ -263,11 +254,8 @@ class Harmonic(Sequence):
                 yield h
 
 
-@dataclass(frozen=True)
-class Primes(Sequence):
-    @property
-    def name(self) -> str:
-        return "primes"
+class Primes(Sequence, _Value):
+    name = "primes"
 
     def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
@@ -276,11 +264,8 @@ class Primes(Sequence):
             yield _PRIMES[n - 1]
 
 
-@dataclass(frozen=True)
-class SquarefreeSum(Sequence):
-    @property
-    def name(self) -> str:
-        return "squarefree-sum"
+class SquarefreeSum(Sequence, _Value):
+    name = "squarefree-sum"
 
     def terms(self, start: int, stop: int) -> Iterator[int]:
         self._validate_index(start)
@@ -289,10 +274,8 @@ class SquarefreeSum(Sequence):
             yield _SF_SUMS[n]
 
 
-@dataclass(frozen=True)
-class Product(Sequence):
-    left: Sequence
-    right: Sequence
+class Product(Sequence, _Value):
+    __slots__ = _fields = ("left", "right")
 
     @property
     def domain_start(self) -> int:  # type: ignore[override]
@@ -321,18 +304,11 @@ class Product(Sequence):
 # constant q = -ln(1-|gamma|)/|gamma| used by tail estimates
 
 
-@dataclass(frozen=True)
-class LucasConstants:
-    a: int
-    b: int
-    discriminant: int
-    sqrt_disc: DyadicInterval
-    alpha: DyadicInterval
-    beta: DyadicInterval
-    gamma: DyadicInterval
-    gamma_abs: DyadicInterval
-    q: DyadicInterval
-    bits: int
+class LucasConstants(_Value):
+    """Root data of the recurrence (a, b): the six enclosures are DyadicIntervals at bits."""
+
+    __slots__ = _fields = ("a", "b", "discriminant", "sqrt_disc", "alpha", "beta", "gamma",
+                           "gamma_abs", "q", "bits")
 
 
 def _lucas_fixed(a: int, b: int, bits: int) -> tuple:

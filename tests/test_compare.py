@@ -21,6 +21,7 @@ from ratiocert.compare import (
     LogCombination,
     Method,
     MethodStats,
+    MonotonicityReport,
     Verdict,
     check_monotone,
     cmp_roots,
@@ -668,15 +669,32 @@ class TestCheckMonotone:
 
     @pytest.mark.parametrize("bad", [0, -5, Fraction(0)], ids=repr)
     def test_scan_rejects_a_nonpositive_term(self, bad):
-        # an int term's log skips the Fraction path, but not its check
-        spec = GivenTerms(2, 3, 5, bad, 7, 11)
+        # an int term's log skips the Fraction path, but not its check; a product
+        # checks each leaf's term before from_pairs could merge it
+        given = GivenTerms(2, 3, 5, bad, 7, 11)
         message = re.escape(f"log base must be a positive int or Fraction, got {bad!r}")
-        with pytest.raises(ValueError, match=message):
-            check_monotone(spec, 1, 6, Direction.DECREASING)
-        steps = ratio_step_verdicts(spec, 1, 6)
-        assert next(steps)[0] == 1
-        with pytest.raises(ValueError, match=message):
-            next(steps)
+        for spec in (given, Product(given, fibonacci())):
+            with pytest.raises(ValueError, match=message):
+                check_monotone(spec, 1, 6, Direction.DECREASING)
+            steps = ratio_step_verdicts(spec, 1, 6)
+            assert next(steps)[0] == 1
+            with pytest.raises(ValueError, match=message):
+                next(steps)
+
+    def test_product_scan_makes_no_unread_kernel_call(self, monkeypatch):
+        # a product's steps go through from_pairs on the terms alone, so the scan
+        # computes no first-rung pair for them; the report is the one it always was
+        from ratiocert import compare
+
+        calls = []
+        ln_fixed = compare._ln_fixed
+        monkeypatch.setattr(compare, "_ln_fixed", lambda *a: calls.append(a) or ln_fixed(*a))
+        report = check_monotone(Product(fibonacci(), Derangement()), 2, 101,
+                                Direction.DECREASING)
+        assert calls == []
+        assert report == MonotonicityReport(
+            "product(fibonacci,derangement)", 2, 101, Direction.DECREASING, (), (),
+            MethodStats(exact=12, interval=86, undecided=0, max_bits=128, escalations=0))
 
     def test_climbing_steps_read_each_term_pair_at_its_rung(self, monkeypatch):
         # every pair a climbing step reads off the records is the term's ln

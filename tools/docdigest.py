@@ -80,6 +80,11 @@ CORPUS = [
      "--jobs", "1", "--format", "json"],
     ["check", "--seq", "squarefree-sum", "--from", "7", "--to", "6000", "--direction",
      "increasing", "--jobs", "1", "--format", "json"],
+    # a pool of two: the product spec, the engine and the block reports cross pickle
+    ["check", "--seq", "product(fibonacci,derangement)", "--from", "2", "--to", "120",
+     "--jobs", "2", *_CHECK],
+    ["find-start", "--seq", "derangement", "--horizon", "80", "--direction", "decreasing",
+     "--jobs", "2", "--format", "json"],
 ]
 
 _WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
