@@ -255,6 +255,12 @@ def _rung_s(terms: int, bits: int) -> float:
     return terms * (_RUNG_TERM_S + _RUNG_BIT_S * bits**_RUNG_POWER)
 
 
+def _exact_first(size: int, budget: int, rung_s: float) -> bool:
+    # sign_of_log_combination's route test before its first rung of predicted
+    # rung_s seconds: the exact route runs first iff it may and is cheaper
+    return size <= budget and _exact_s(size) < rung_s
+
+
 def _combination_fixed(comb: LogCombination, bits: int, offset=0, divisor: int = 1
                        ) -> tuple[int, int]:
     # (sum c_i ln(x_i) + offset) / divisor as [lo, hi] * 2**-w, w = bits + 8
@@ -466,7 +472,7 @@ def ratio_step_verdicts(
             c1 = -c0 - c2 - 2  # 2n(n + 2)
             cost = c1 * s1 - c0 * s0 - c2 * s2
             lo = hi = None
-            if cost > budget or _exact_s(cost) >= rung_s:
+            if not _exact_first(cost, budget, rung_s):
                 lo = c1 * lo1 + c0 * hi0 + c2 * hi2
                 if lo > 0:
                     yield n, greater

@@ -32,12 +32,10 @@ the bits it drops are not all zero, so a call costs the same for any size of
 term.  A rational goes in as its numerator and denominator, so a sum of
 integer multiples of logs is a sum of pairs, and a narrow fixed-point
 interval [lo, hi] as one call at lo with its upper end padded by
-(hi - lo) / lo.  The kernel's cache (64 entries, keyed by the cut argument)
-serves the callers that read a term again outside a scan's window records:
-the prime checks and neighbouring offset and Stirling instances.  Its bound
-keeps memory flat for any scan and any term size.  Constants that are not
-sums of logs (a recurrence's root ratio, n!/e) use three more pair
-operations at the same scale: the product, power and quotient of
+(hi - lo) / lo.  The kernel's cache (64 entries, keyed by the cut argument,
+see _ln_kernel) keeps memory flat for any scan and any term size.  Constants
+that are not sums of logs (a recurrence's root ratio, n!/e) use three more
+pair operations at the same scale: the product, power and quotient of
 nonnegative pairs.  The one exception is the public interval_e, which
 keeps its published scale 2**-(bits+3).
 """
@@ -337,9 +335,9 @@ def _ln_fixed(m: int, e: int, bits: int, pad: int = 0) -> tuple[int, int]:
     return _ln_kernel(cut, e + s, bits, pad + (m & 1 or cut << s != m))
 
 
-# Scans keep each term's pairs on their window records; the hits here come
-# from the prime checks, which read p_{n+1} again as the next instance's p_n,
-# and from neighbouring offset and Stirling instances.  64 entries, each key
+# Scans and prime ranges keep each term's pairs on records; the hits here come
+# from single prime checks, which read p_{n+1} again as the next one's p_n, and
+# from neighbouring offset and Stirling instances.  64 entries, each key
 # bounded by _ln_fixed's cut, keep memory flat for any scan and any term size.
 @lru_cache(maxsize=64)
 def _ln_kernel(m: int, e: int, bits: int, pad: int) -> tuple[int, int]:

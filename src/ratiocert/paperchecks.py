@@ -28,10 +28,11 @@ The record is not part of the JSON document; the CLI sums it into `stats`.
 
 The derangement and harmonic windows stream their steps from
 compare.ratio_step_verdicts, as a scan does, and stop at the first step
-that is not as claimed.  The prime-ratio range decides each instance on the
-lower end of the refinement margin at the first rung; only an instance that
-end leaves uncertified runs the two-sided check_prime_ratio_refinement,
-whose result is then the one reported.
+that is not as claimed.  The prime ranges (paper_suite's two on one walk)
+keep each prime's first-rung ln pair, and read a Firoozbakht step's first
+rung and a lower bound on a refinement margin off them.  A step left open
+runs cmp_roots.  An instance left open is decided on its margin's lower end,
+then by check_prime_ratio_refinement, whose result is the one reported.
 """
 
 from __future__ import annotations
@@ -39,15 +40,19 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import pairwise
 from typing import Callable, Iterable, Optional
 
 from .compare import (
     DEFAULT_ENGINE,
     Engine,
     LogCombination,
+    Method,
     MethodStats,
     Verdict,
     _combination_fixed,
+    _exact_first,
+    _rung_s,
     cmp_roots,
     ratio_step_combination,
     ratio_step_verdict,
@@ -72,10 +77,10 @@ from .sequences import (
     Harmonic,
     InvalidParameters,
     Lucas,
+    Primes,
     derangement_term,
     harmonic_term,
     nth_prime,
-    _ensure_prime_count,
     _lucas_fixed,
 )
 
@@ -494,16 +499,33 @@ def _refinement_margin(n: int, p: int, p_next: int, bits: int) -> tuple[int, int
     return m_lo + -(n * q_hi - (n + 1) * p_lo) // d, m_hi - (n * q_lo - (n + 1) * p_hi) // d
 
 
+def _prime_records(start: int, stop: int, engine: Engine) -> list[tuple[int, int, int]]:
+    # (p, lo, hi) for p = p_start..p_{stop+1}, with ln p's pair at the first rung
+    return [(p, *_ln_fixed(p, 0, engine.rungs[0])) for p in Primes().terms(start, stop + 1)]
+
+
 def check_firoozbakht_range(start: int, stop: int,
                             engine: Engine = DEFAULT_ENGINE) -> CheckResult:
     """Aggregate Firoozbakht instances for start <= n <= stop."""
-    _ensure_prime_count(stop + 1)
-    return _verdict_run(
-        f"firoozbakht-range({start}..{stop})",
-        (({"n": n}, cmp_roots(nth_prime(n), n, nth_prime(n + 1), engine))
-         for n in range(start, stop + 1)),
-        Ordering.LESS, {"range": [start, stop]},
-    )
+    return _firoozbakht_run(start, stop, engine, _prime_records(start, stop, engine))
+
+
+def _firoozbakht_run(start: int, stop: int, engine: Engine, records: list) -> CheckResult:
+    # where sign_of_log_combination's route test runs the first rung, a step reads
+    # it off two records; one that goes exact or is not LESS there runs cmp_roots
+    budget, bits = engine.exact_budget, engine.rungs[0]
+    rung_s, less = _rung_s(2, bits), Verdict(Ordering.LESS, Method.INTERVAL, bits)
+
+    def steps():
+        for n, ((p, p_lo, _), (q, _, q_hi)) in enumerate(pairwise(records), start):
+            size = n * (q.bit_length() + 1) + (n + 1) * (p.bit_length() + 1)
+            if n * q_hi < (n + 1) * p_lo and not _exact_first(size, budget, rung_s):
+                yield {"n": n}, less
+            else:
+                yield {"n": n}, cmp_roots(p, n, q, engine)
+
+    return _verdict_run(f"firoozbakht-range({start}..{stop})", steps(), Ordering.LESS,
+                        {"range": [start, stop]})
 
 
 def check_prime_ratio_range(start: int, stop: int,
@@ -516,15 +538,42 @@ def check_prime_ratio_range(start: int, stop: int,
     """
     if start < 3:
         raise ValueError(f"needs start >= 3, got {start}")
-    _ensure_prime_count(stop + 1)
+    return _refinement_run(start, stop, engine, _prime_records(start, stop, engine))
+
+
+# W bounds the width of check_prime_ratio_refinement's margin, n >= 3, in units
+# 2**-(bits+8) at bits <= 2**18.  A kernel pair (LO >> 32) - 1, ceil(HI / 2**32) + 1
+# is at most ceil((HI - LO) / 2**32) + 3 wide, and HI - LO is its pad plus under
+# 2**31: an atanh series is under 2(bits + 40) wide (under (bits + 40)/3 + 1 terms,
+# each under a ninth of the last), ln 2 has 28, a table point 7 ln 2 and 14 more,
+# and k ln 2 here at most 64 ln 2 (arguments under 2**64, ln n, 1 - u).  So the
+# pairs of ln p_n, ln p_{n+1} and ln n are at most 4 wide; of ln ln n (padded under
+# 3.7 * 2**32) 8; of 1 - u, ceil(8 / 18) + 1 = 2; of ln(1 - u) (padded under
+# 2.05 * 2**32, as 1 - u > 0.98) 6; of ln LHS, ceil(4(2n + 1) / (n(n + 1))) + 1 <= 4.
+_REFINEMENT_WIDTH = 6 + 4
+
+
+def _refinement_floor(n: int, p_pair: tuple[int, int], q_hi: int, bits: int) -> int:
+    # L - W, which the margin's lower end is at least at `bits`, for L a lower bound
+    # on the margin off ln p_n and ln p_{n+1} alone: ln ln n <= ln n - 1 < ln p_n - 1
+    # bounds u from above, and ln(1 - u) >= -u / (1 - u)
+    w, (p_lo, p_hi) = bits + _KERNEL_EXTRA_BITS, p_pair
+    u = -(((1 << w) - p_hi) // (2 * n * n))
+    return ((-u << w) // ((1 << w) - u) + -(n * q_hi - (n + 1) * p_lo) // (n * (n + 1))
+            - _REFINEMENT_WIDTH)
+
+
+def _refinement_run(start: int, stop: int, engine: Engine, records: list) -> CheckResult:
+    # first_rung stands for each instance certified on the first rung, by
+    # _refinement_floor or the margin's lower end; the range reads its status, stats
     bits = engine.rungs[0]
-    # stands for every instance certified on the first rung; the range reads
-    # only its status and stats
     first_rung = CheckResult("", CheckStatus.CERTIFIED, None, {},
                              MethodStats(interval=1, max_bits=bits))
 
     def instance(n: int, engine: Engine) -> CheckResult:
-        if _refinement_margin(n, nth_prime(n), nth_prime(n + 1), bits)[0] > 0:
+        (p, *p_pair), (q, _, q_hi) = records[n - start], records[n - start + 1]
+        if (bits <= 1 << 18 and _refinement_floor(n, p_pair, q_hi, bits) > 0
+                or _refinement_margin(n, p, q, bits)[0] > 0):
             return first_rung
         return check_prime_ratio_refinement(n, engine)
 
@@ -587,8 +636,9 @@ def paper_suite(
     # (m=1, n=30) already appears in the constants suite above
     results.append(check_harmonic_xlogx(11, 3, engine))
     results.append(check_harmonic_window(engine))
-    results.append(check_firoozbakht_range(1, prime_horizon, engine))
-    results.append(check_prime_ratio_range(5, prime_horizon, engine))
+    records = _prime_records(1, prime_horizon, engine)
+    results.append(_firoozbakht_run(1, prime_horizon, engine, records))
+    results.append(_refinement_run(5, prime_horizon, engine, records[4:]))
     return results
 
 

@@ -165,6 +165,7 @@ class Sequence:
     are the factors whose terms multiply to the sequence's: itself, or a
     product's leaves."""
 
+    __slots__ = ()
     name: str
     domain_start: int = 1
     # True when terms(start, stop) walks the recurrence from the domain start
@@ -217,6 +218,7 @@ def fibonacci() -> Lucas:
 
 
 class Derangement(Sequence, _Value):
+    __slots__ = ()
     name = "derangement"
     domain_start = 2
     term_walks = True
@@ -255,6 +257,7 @@ class Harmonic(Sequence, _Value):
 
 
 class Primes(Sequence, _Value):
+    __slots__ = ()
     name = "primes"
 
     def terms(self, start: int, stop: int) -> Iterator[int]:
@@ -265,6 +268,7 @@ class Primes(Sequence, _Value):
 
 
 class SquarefreeSum(Sequence, _Value):
+    __slots__ = ()
     name = "squarefree-sum"
 
     def terms(self, start: int, stop: int) -> Iterator[int]:

@@ -13,6 +13,7 @@ from ratiocert.compare import (
     Method,
     MethodStats,
     Verdict,
+    cmp_roots,
     evaluate_combination,
     ratio_step_combination,
     ratio_step_verdict,
@@ -385,6 +386,16 @@ def _window_by_steps(name, expected, region, grid, engine):
     return CheckResult(name, status, witness, {**counts, "ordering": ordering.value}, stats)
 
 
+def _firoozbakht_range_by_steps(start, stop, engine):
+    # firoozbakht-range assembled from cmp_roots, one n at a time
+    return paperchecks._verdict_run(
+        f"firoozbakht-range({start}..{stop})",
+        (({"n": n}, cmp_roots(nth_prime(n), n, nth_prime(n + 1), engine))
+         for n in range(start, stop + 1)),
+        Ordering.LESS, {"range": [start, stop]},
+    )
+
+
 def _prime_range_by_instances(start, stop, engine):
     # prime-ratio-range assembled from check_prime_ratio_refinement, one n at a time
     name = f"prime-ratio-range({start}..{stop})"
@@ -427,6 +438,64 @@ class TestStreamedWindowsAndRange:
         assert results[name] == _prime_range_by_instances(5, horizon, engine)
         assert results[name].status is CheckStatus.CERTIFIED
         assert bool(fallbacks) == (engine.start_bits == 16)
+        name = f"firoozbakht-range(1..{horizon})"
+        assert results[name] == _firoozbakht_range_by_steps(1, horizon, engine)
+
+    @pytest.mark.parametrize("engine", [
+        DEFAULT_ENGINE,
+        # no exact route: every step reads its first rung off the records
+        Engine(exact_budget=0),
+        # 16-bit records, and fewer steps exact first
+        Engine(start_bits=16, cap_bits=64),
+    ], ids=repr)
+    def test_firoozbakht_range_equals_the_steps(self, engine):
+        assert check_firoozbakht_range(1, 3000, engine) == _firoozbakht_range_by_steps(
+            1, 3000, engine)
+
+    @pytest.mark.parametrize("bits, step", [(16, 1), (128, 1), (1024, 37), (8192, 1999)])
+    def test_refinement_margin_is_at_most_w_wide(self, bits, step):
+        widths = [hi - lo for n in range(3, 20001, step)
+                  for lo, hi in [paperchecks._refinement_margin(n, nth_prime(n),
+                                                                nth_prime(n + 1), bits)]]
+        assert max(widths) <= paperchecks._REFINEMENT_WIDTH
+
+    @pytest.mark.parametrize("bits", [16, 64, 128])
+    def test_kernel_free_lower_end_certifies_only_first_rung_instances(self, bits):
+        # from n = 3, so the refuted n = 4 is among them
+        engine = Engine(start_bits=bits)
+        pairs = [None] + [_ln_fixed(nth_prime(k), 0, bits) for k in range(1, 20002)]
+        cleared = 0
+        for n in range(3, 20001):
+            if paperchecks._refinement_floor(n, pairs[n], pairs[n + 1][1], bits) > 0:
+                cleared += 1
+                out = check_prime_ratio_refinement(n, engine)
+                assert out.status is CheckStatus.CERTIFIED, n
+                assert out.stats == MethodStats(interval=1, max_bits=bits), n
+        assert cleared > (1000 if bits == 16 else 19900)
+
+    def test_prime_ranges_compute_ln_p_once_per_prime(self, monkeypatch):
+        # past the first-rung records, ln p is computed again only for an
+        # instance whose lower end goes to _refinement_margin's kernel pairs
+        from ratiocert import numerics
+
+        fallbacks = []
+        margin = paperchecks._refinement_margin
+
+        def counting(n, *args):
+            fallbacks.append(n)
+            return margin(n, *args)
+
+        monkeypatch.setattr(paperchecks, "_refinement_margin", counting)
+
+        def misses(horizon):
+            numerics._ln_kernel.cache_clear()
+            paper_suite(prime_horizon=horizon)
+            return numerics._ln_kernel.cache_info().misses
+
+        others = misses(0)
+        fallbacks.clear()
+        assert misses(2000) - others <= 2001 + 5 * len(fallbacks)
+        assert len(fallbacks) <= 20
 
     def test_harmonic_window_sums_each_order_once(self, monkeypatch):
         from ratiocert.sequences import Harmonic

@@ -34,6 +34,7 @@ from ratiocert.sequences import (
     LucasConstants,
     Primes,
     Product,
+    Sequence,
     SquarefreeSum,
 )
 
@@ -147,6 +148,23 @@ def test_pickle_round_trip_is_equal(name):
     make, text = CASES[name]
     copy = pickle.loads(pickle.dumps(make(0)))
     assert copy == make(0) and repr(copy) == text
+
+
+@pytest.mark.parametrize("name", ["Lucas", "Derangement", "Harmonic", "Primes",
+                                  "SquarefreeSum", "Product"])
+def test_no_family_instance_has_a_dict(name):
+    # Sequence and each family declare __slots__, so a family keeps only its fields
+    family = CASES[name][0](0)
+    assert not hasattr(family, "__dict__")
+
+
+def test_a_subclass_without_slots_keeps_its_dict():
+    class Given(Sequence):
+        name = "given"
+
+    given = Given()
+    given.values = (1, 2)
+    assert given.__dict__ == {"values": (1, 2)}
 
 
 def test_derived_slots_stay_out_of_the_fields():

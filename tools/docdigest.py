@@ -38,6 +38,10 @@ CORPUS = [
     ["paper-suite", "--start-bits", "16", "--format", "json"],
     # a cap at the start bits: checks the first rung leaves open end undecided
     ["paper-suite", "--precision-cap", "128", "--format", "json"],
+    # prime ranges far past the default horizon
+    ["paper-suite", "--prime-horizon", "20000", "--format", "json"],
+    # no exact route: every Firoozbakht step starts on the first rung
+    ["paper-suite", "--exact-budget", "0", "--format", "json"],
     ["check", "--seq", "fibonacci", "--from", "4", "--to", "400", "--jobs", "1", *_CHECK],
     ["check", "--seq", "fibonacci", "--from", "1", "--to", "400", "--jobs", "2", *_CHECK],
     ["check", "--seq", "product(fibonacci,derangement)", "--from", "2", "--to", "120",
