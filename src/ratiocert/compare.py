@@ -39,8 +39,11 @@ pair (one kernel call for an int) and pairs by rung, each above the first
 computed when a step first asks.  A one-leaf scan settles most steps in one
 loop on the records: where the three bases are distinct, a step sums its size
 and reads the first rung off them in a few multiply-adds; one left open climbs
-in sign_of_log_combination from that pair, with the size it summed.  Other
-steps call that function directly.
+in sign_of_log_combination from that pair, with the size it summed.  After a
+step decided at rung g >= 3, the next runs no inline rung (new terms wait for a
+first pair) and reads rung g - 1 first; if zero is inside, it is inside every
+rung below (enclosures nest), and the climb goes on from g.  Route tests still
+run at every rung, so verdicts are a plain climb's.  Other steps call it directly.
 
 evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
 on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
@@ -106,6 +109,11 @@ _RUNG_BIT_S = 8e-12
 _RUNG_POWER = 2.6
 
 
+def _rung_s(terms: int, bits: int) -> float:
+    """Predicted seconds of one interval rung."""
+    return terms * (_RUNG_TERM_S + _RUNG_BIT_S * bits**_RUNG_POWER)
+
+
 class Direction(Enum):
     DECREASING = "decreasing"
     INCREASING = "increasing"
@@ -119,11 +127,11 @@ class Method(Enum):
 class Engine(_Value):
     """Settings of every certificate: the precision ladder starts at
     start_bits and doubles up to cap_bits, the exact route builds no
-    cross-power estimated above exact_budget bits (0 leaves the ladder
-    alone).  The ladder is stored once as `rungs`, outside the fields."""
+    cross-power estimated above exact_budget bits (0 leaves the ladder alone).
+    Kept outside the fields: the ladder `rungs`, each rung's seconds per term `unit_s`."""
 
     _fields = ("start_bits", "cap_bits", "exact_budget")
-    __slots__ = (*_fields, "rungs")
+    __slots__ = (*_fields, "rungs", "unit_s")
 
     def __init__(self, start_bits=128, cap_bits=1 << 16, exact_budget=1 << 31) -> None:
         if not isinstance(start_bits, int) or start_bits < MIN_PRECISION_BITS:
@@ -141,6 +149,7 @@ class Engine(_Value):
         while rungs[-1] < cap_bits:
             rungs.append(min(rungs[-1] * 2, cap_bits))
         self._set("rungs", tuple(rungs))
+        self._set("unit_s", tuple(_rung_s(1, bits) for bits in rungs))
 
 
 DEFAULT_ENGINE = Engine()
@@ -183,26 +192,41 @@ class LogCombination(_Value):
 
 
 class _StepCombination:
-    # a scan step's ((c1, a1), (c0, a0), (c2, a2)), size and first-rung pair;
-    # pairs[k][i]: term k's pair at rung i
-    __slots__ = ("terms", "size", "pairs", "first")
+    # a scan step's ((c1, a1), (c0, a0), (c2, a2)) and size; pairs[k][i]: term k's
+    # pair at rung i, None until read.  The rungs below `known` leave 0 inside,
+    # `open` the top one's pair; `probe`: (i, bits) to read before rungs below i, or 0
+    __slots__ = ("terms", "size", "pairs", "known", "open", "probe")
 
-    def __init__(self, terms, size, pairs, first):
-        self.terms, self.size, self.pairs, self.first = terms, size, pairs, first
+    def __init__(self, terms, size, pairs, first, probe):
+        self.terms, self.size, self.pairs, self.open, self.probe = terms, size, pairs, first, probe
+        self.known = 0 if first[0] is None else 1
 
     def _fixed(self, i: int, bits: int) -> tuple[int, int]:
-        if not i:  # reached only where the scan's inline rung ran, by the same exact-first test
-            return self.first
+        if i < self.known:
+            return self.open
+        if self.probe:
+            k, self.probe = self.probe, None
+            pair = self._rung(*k)
+            if pair[0] <= 0 <= pair[1]:  # and so is every rung below, as enclosures nest
+                self.known, self.open = k[0] + 1, pair
+                return pair
+        return self._rung(i, bits)
+
+    def _rung(self, i: int, bits: int) -> tuple[int, int]:
         for (_, x), p in zip(self.terms, self.pairs):
-            if len(p) == i:
+            if len(p) <= i:
+                p += [None] * (i - len(p))
                 p.append(_ln_exact(x, bits))
+            elif p[i] is None:
+                p[i] = _ln_exact(x, bits)
         ((c1, _), (c0, _), (c2, _)), (p1, p0, p2) = self.terms, self.pairs
         (l1, h1), (l0, h0), (l2, h2) = p1[i], p0[i], p2[i]
         return c1 * l1 + c0 * h0 + c2 * h2, c1 * h1 + c0 * l0 + c2 * l2
 
 
 class Verdict(_Value):
-    """Comparison outcome plus the certificate that produced it."""
+    """Comparison outcome plus the certificate that produced it; escalations is
+    the deciding rung's index, and nesting shows every rung below it open."""
 
     __slots__ = _fields = ("ordering", "method", "bits", "escalations")
 
@@ -248,11 +272,6 @@ def decide_exact(comb: LogCombination) -> Ordering:
 def _exact_s(exact_bits: int) -> float:
     """Predicted seconds of decide_exact for an estimated cross-power size."""
     return _EXACT_S * min(exact_bits, 1 << 64) ** _EXACT_POWER
-
-
-def _rung_s(terms: int, bits: int) -> float:
-    """Predicted seconds of one interval rung."""
-    return terms * (_RUNG_TERM_S + _RUNG_BIT_S * bits**_RUNG_POWER)
 
 
 def _exact_first(size: int, budget: int, rung_s: float) -> bool:
@@ -309,8 +328,8 @@ def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGIN
     exact_s = _exact_s(comb.size) if comb.size <= engine.exact_budget else None
     terms = len(comb.terms)
     spent = 0.0
-    for i, bits in enumerate(engine.rungs):
-        rung_s = _rung_s(terms, bits)
+    for i, (bits, unit_s) in enumerate(zip(engine.rungs, engine.unit_s)):
+        rung_s = terms * unit_s  # _rung_s(terms, bits), the same float
         if exact_s is not None and exact_s < max(spent, rung_s):
             return Verdict(decide_exact(comb), Method.EXACT, None, max(i - 1, 0))
         lo, hi = comb._fixed(i, bits)
@@ -451,11 +470,22 @@ def ratio_step_verdicts(
         pair = _ln_exact(x, bits)
         return x, x.numerator.bit_length() + x.denominator.bit_length(), *pair, [pair]
 
+    def bare(x) -> tuple:
+        # a record whose first-rung pair waits until some step reads it
+        x = x if type(x) is int and x > 0 else _log_base(x)
+        return x, x.numerator.bit_length() + x.denominator.bit_length(), None, None, [None]
+
+    def filled(x, size, lo, hi, p) -> tuple:
+        p[0] = p[0] or _ln_exact(x, bits)
+        return x, size, *p[0], p
+
     leaves = spec._leaves
     if len(leaves) == 1 and start >= 1:
         # one leaf's window, all three coefficients nonzero: the first rung
         # inline on the records, the rest in sign_of_log_combination
-        it = map(record, leaves[0].terms(start, stop))
+        terms = leaves[0].terms(start, stop)
+        eager, lazy = map(record, terms), map(bare, terms)
+        it, g = eager, 0
         budget, rung_s = engine.exact_budget, _rung_s(3, bits)
         greater = Verdict(Ordering.GREATER, Method.INTERVAL, bits)
         less = Verdict(Ordering.LESS, Method.INTERVAL, bits)
@@ -472,7 +502,7 @@ def ratio_step_verdicts(
             c1 = -c0 - c2 - 2  # 2n(n + 2)
             cost = c1 * s1 - c0 * s0 - c2 * s2
             lo = hi = None
-            if not _exact_first(cost, budget, rung_s):
+            if not g and not _exact_first(cost, budget, rung_s):
                 lo = c1 * lo1 + c0 * hi0 + c2 * hi2
                 if lo > 0:
                     yield n, greater
@@ -481,8 +511,17 @@ def ratio_step_verdicts(
                 if hi < 0:
                     yield n, less
                     continue
-            yield n, sign_of_log_combination(_StepCombination(
-                ((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2), (lo, hi)), engine)
+            v = sign_of_log_combination(_StepCombination(
+                ((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2), (lo, hi),
+                g and (g - 1, engine.rungs[g - 1])), engine)
+            yield n, v
+            # decided at rung g >= 3, where reading g - 1 first can skip a rung past the
+            # inline one: the next step runs no inline rung and reads g - 1 first
+            if v.escalations >= 3:
+                g, it = v.escalations, lazy
+            elif g:
+                g, it = 0, eager
+                r1, r2 = filled(*r1), filled(*r2)
         return
     # a product's leaves, or a window from index 0: each step from_pairs, on the terms alone
     iters = [map(_log_base, leaf.terms(start, stop)) for leaf in leaves]

@@ -306,6 +306,17 @@ class TestSignOfLogCombination:
         engine = Engine(64, 1000, 0)
         copy = pickle.loads(pickle.dumps(engine))
         assert copy == engine and copy.rungs == (64, 128, 256, 512, 1000)
+        assert copy.unit_s == engine.unit_s
+
+    @pytest.mark.parametrize("engine", [DEFAULT_ENGINE, Engine(16, 1000, 0)], ids=repr)
+    def test_rung_costs_are_the_model_s_floats(self, engine):
+        # the ladder prices a rung as terms * unit_s[i], computed once per
+        # engine; each is the model's float, so every route test is unchanged
+        from ratiocert.compare import _rung_s
+
+        assert len(engine.unit_s) == len(engine.rungs)
+        for terms in range(1, 8):
+            assert [terms * u for u in engine.unit_s] == [_rung_s(terms, b) for b in engine.rungs]
 
     def test_result_serialization(self):
         v = sign_of_log_combination(
@@ -538,9 +549,11 @@ class TestCheckMonotone:
         Engine(exact_budget=0),
         Engine(cap_bits=256, exact_budget=0),  # near-ties undecided at the cap
         Engine(start_bits=16, cap_bits=1024, exact_budget=3000),  # near-ties climb from 16 bits
+        Engine(start_bits=16, cap_bits=1000, exact_budget=0),  # a last rung that is no doubling
     ], ids=repr)
     @pytest.mark.parametrize("spec, start, stop", [
-        *SCAN_CASES, (Lucas(3, 2), 1, 300), (Lucas(5, 6), 1, 200)],
+        *SCAN_CASES, (Lucas(3, 2), 1, 300), (Lucas(5, 6), 1, 200),
+        (Lucas(3, 2), 1, 1500), (Lucas(5, 6), 1, 750)],  # steps deciding at rung 3 and above
         ids=lambda x: getattr(x, "name", x))
     def test_scan_equals_its_step_verdicts(self, spec, start, stop, engine):
         # the scan decides most steps on its window records, on the first rung
@@ -744,6 +757,61 @@ class TestCheckMonotone:
         assert len(opened) > 100
         assert report.stats == MethodStats(exact=17, interval=281, max_bits=512, escalations=206)
 
+    def test_steps_past_rung_3_start_below_their_neighbours_rung(self):
+        # from n of about 450 the steps decide at 1024 and 2048 bits; each
+        # reads the rung below its neighbour's deciding rung first, and skips
+        # the rungs under it, so fewer (term, rung) pairs reach the kernel
+        # (5568 climbing from the bottom) and none of them twice
+        from ratiocert import numerics
+
+        numerics._ln_kernel.cache_clear()
+        report = check_monotone(Lucas(3, 2), 1, 1500, Direction.DECREASING)
+        info = numerics._ln_kernel.cache_info()
+        assert report.stats == MethodStats(exact=17, interval=1481, max_bits=2048,
+                                           escalations=4060)
+        assert (info.hits, info.misses) == (0, 3134)
+
+    def test_a_misread_hint_costs_at_most_one_rung(self, monkeypatch):
+        # near-ties, each broken for the three steps a perturbed term serves,
+        # so the deciding rung drops sharply between neighbours: a step whose
+        # first read rung excludes zero climbs from the bottom, one rung more
+        # than alone, and every verdict is still the one the step gets alone
+        from ratiocert import compare
+        from ratiocert.numerics import _ln_exact
+
+        made = []
+
+        class Counted(compare._StepCombination):
+            __slots__ = ("runs",)
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.runs = self.known  # the inline rung, where it ran
+                made.append(self)
+
+            def _rung(self, i, bits):
+                self.runs += 1
+                return super()._rung(i, bits)
+
+        monkeypatch.setattr(compare, "_StepCombination", Counted)
+        shift = {150: 1, 200: 40, 250: 80, 300: 120, 350: 200}
+        spec = GivenTerms(*(2**k - 1 + (2 ** (k - shift[k]) if k in shift else 0)
+                            for k in range(1, 401)))
+        engine = Engine(start_bits=16, cap_bits=1000, exact_budget=0)
+        extra = []
+        for n, v in ratio_step_verdicts(spec, 1, 400, engine):
+            assert v == ratio_step_verdict(spec, n, engine), n
+            runs = made[-1].runs if made and made[-1].runs >= 0 else 1
+            extra.append(runs - v.escalations - 1)
+            if made:
+                made[-1].runs = -1  # read
+        assert max(extra) == 1 and extra.count(1) >= 5
+        assert min(extra) <= -3  # a hint read right skips three rungs
+        for comb in made:
+            for (_, x), pairs in zip(comb.terms, comb.pairs):
+                for bits, pair in zip(engine.rungs, pairs):
+                    assert pair is None or pair == _ln_exact(x, bits)
+
 
 class TestFindMinStart:
     def test_fibonacci(self):
@@ -938,7 +1006,43 @@ def log_combinations(draw):
     return LogCombination(tuple(terms))
 
 
+@st.composite
+def step_combinations(draw):
+    """A scan step's three terms: distinct bases, int where whole, under the
+    signs of (c1, c0, c2), + - -."""
+    whole = st.builds(_integer, st.integers(1, 20000), st.integers(0, 2**32))
+    odd = st.integers(0, 2**64).map(lambda k: 2 * k + 1)
+    bases = draw(st.lists(st.builds(Fraction, whole, st.one_of(st.just(1), odd)),
+                          min_size=3, max_size=3, unique=True))
+    c1, c0, c2 = (draw(st.integers(1, 10**6)) * sign for sign in (1, -1, -1))
+    return tuple(zip((c1, c0, c2), [x.numerator if x.denominator == 1 else x for x in bases]))
+
+
 class TestEvaluateCombination:
+    @given(st.one_of(log_combinations(), step_combinations()),
+           st.sampled_from([Engine(start_bits=16, cap_bits=1000), Engine(cap_bits=4096)]))
+    @settings(max_examples=40, deadline=None)
+    def test_rung_enclosures_nest(self, comb, engine):
+        # the pair the ladder reads at each rung encloses a set inside the one
+        # below it, from 16 bits, to a last rung that is no doubling, for int
+        # terms wider than the kernel reads and Fraction terms: so a rung that
+        # leaves zero inside shows every rung below it does too.  A scan step
+        # reads the same pairs off its terms' records
+        from ratiocert import compare
+        from ratiocert.numerics import _fixed_interval
+
+        step = None
+        if isinstance(comb, tuple):
+            step = compare._StepCombination(comb, 0, ([None], [None], [None]), (None, None), 0)
+            comb = LogCombination(comb)
+        outer = None
+        for i, bits in enumerate(engine.rungs):
+            pair = comb._fixed(i, bits)
+            assert step is None or step._fixed(i, bits) == pair
+            enc = _fixed_interval(*pair, bits)
+            assert outer is None or outer.encloses(enc), bits
+            outer = enc
+
     @given(
         log_combinations(),
         st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**64)),

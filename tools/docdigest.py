@@ -89,6 +89,13 @@ CORPUS = [
      "--jobs", "2", *_CHECK],
     ["find-start", "--seq", "derangement", "--horizon", "80", "--direction", "decreasing",
      "--jobs", "2", "--format", "json"],
+    # near-ties deciding at 1024 and 2048 bits: from rung 3 on, a step reads the
+    # rung below its neighbour's deciding rung first; each --jobs block starts afresh
+    ["check", "--seq", "lucas:3,2", "--from", "1", "--to", "1500", "--jobs", "1", *_CHECK],
+    ["check", "--seq", "lucas:3,2", "--from", "1", "--to", "1500", "--jobs", "2", *_CHECK],
+    ["check", "--seq", "lucas:5,6", "--from", "1", "--to", "750", "--jobs", "1", *_CHECK],
+    ["check", "--seq", "lucas:3,2", "--from", "1", "--to", "1500", "--start-bits", "16",
+     "--precision-cap", "1000", "--exact-budget", "0", "--jobs", "1", *_CHECK],
 ]
 
 _WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
