@@ -40,10 +40,13 @@ computed when a step first asks.  A one-leaf scan settles most steps in one
 loop on the records: where the three bases are distinct, a step sums its size
 and reads the first rung off them in a few multiply-adds; one left open climbs
 in sign_of_log_combination from that pair, with the size it summed.  After a
-step decided at rung g >= 3, the next runs no inline rung (new terms wait for a
-first pair) and reads rung g - 1 first; if zero is inside, it is inside every
-rung below (enclosures nest), and the climb goes on from g.  Route tests still
-run at every rung, so verdicts are a plain climb's.  Other steps call it directly.
+step decided at rung g >= 1, the next runs no inline rung (new terms wait for a
+first pair) and reads rung g first.  If zero is inside, it is inside every rung
+below (enclosures nest), and the climb goes on from g + 1.  If rung g decides
+within the slack bound (each ln x != 1 lies a unit inside its pair), rung g - 1
+leaves zero inside, so every rung below does and g decides; otherwise the step
+climbs from the bottom.  Route tests still run at every rung, so verdicts are a
+plain climb's.  Other steps call it directly.
 
 evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
 on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
@@ -193,24 +196,31 @@ class LogCombination(_Value):
 
 class _StepCombination:
     # a scan step's ((c1, a1), (c0, a0), (c2, a2)) and size; pairs[k][i]: term k's
-    # pair at rung i, None until read.  The rungs below `known` leave 0 inside,
-    # `open` the top one's pair; `probe`: (i, bits) to read before rungs below i, or 0
-    __slots__ = ("terms", "size", "pairs", "known", "open", "probe")
+    # pair at rung i, None until read.  The rungs below `known` leave 0 inside; the
+    # ladder reads `open` there, and `top` at rung `known` where the probe read it.
+    # `probe`: (i, bits, shift) to read first, shift = bits - rung i - 1's bits, or 0
+    __slots__ = ("terms", "size", "pairs", "known", "open", "top", "probe")
 
     def __init__(self, terms, size, pairs, first, probe):
         self.terms, self.size, self.pairs, self.open, self.probe = terms, size, pairs, first, probe
-        self.known = 0 if first[0] is None else 1
+        self.known, self.top = 0 if first[0] is None else 1, None
 
     def _fixed(self, i: int, bits: int) -> tuple[int, int]:
         if i < self.known:
             return self.open
         if self.probe:
-            k, self.probe = self.probe, None
-            pair = self._rung(*k)
-            if pair[0] <= 0 <= pair[1]:  # and so is every rung below, as enclosures nest
-                self.known, self.open = k[0] + 1, pair
+            (k, k_bits, shift), self.probe = self.probe, None
+            lo, hi = pair = self._rung(k, k_bits)
+            if lo <= 0 <= hi:  # and so is every rung below, as enclosures nest
+                self.known, self.open = k + 1, pair
                 return pair
-        return self._rung(i, bits)
+            # each ln x != 1 lies at least a unit inside its pair on both sides, so the
+            # pair at rung k - 1 reaches P = sum |c| units past the sum each way: 0 is
+            # inside when the sum is within P units there, as max(-lo, hi) <= P << shift shows
+            if max(-lo, hi) <= sum(abs(c) for c, x in self.terms if x != 1) << shift:
+                self.known, self.open, self.top = k, (0, 0), pair
+                return self.open
+        return self.top or self._rung(i, bits)
 
     def _rung(self, i: int, bits: int) -> tuple[int, int]:
         for (_, x), p in zip(self.terms, self.pairs):
@@ -226,7 +236,8 @@ class _StepCombination:
 
 class Verdict(_Value):
     """Comparison outcome plus the certificate that produced it; escalations is
-    the deciding rung's index, and nesting shows every rung below it open."""
+    the deciding rung's index, and every rung below it is open, shown open by
+    nesting or by the slack bound where not run."""
 
     __slots__ = _fields = ("ordering", "method", "bits", "escalations")
 
@@ -513,11 +524,10 @@ def ratio_step_verdicts(
                     continue
             v = sign_of_log_combination(_StepCombination(
                 ((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2), (lo, hi),
-                g and (g - 1, engine.rungs[g - 1])), engine)
+                g and (g, engine.rungs[g], engine.rungs[g] - engine.rungs[g - 1])), engine)
             yield n, v
-            # decided at rung g >= 3, where reading g - 1 first can skip a rung past the
-            # inline one: the next step runs no inline rung and reads g - 1 first
-            if v.escalations >= 3:
+            # decided at rung g >= 1: the next step runs no inline rung and reads g first
+            if v.escalations:
                 g, it = v.escalations, lazy
             elif g:
                 g, it = 0, eager

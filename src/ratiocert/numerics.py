@@ -373,7 +373,8 @@ def _ln_kernel(m: int, e: int, bits: int, pad: int) -> tuple[int, int]:
         lo += k * l2_hi
         hi += k * l2_lo
     # final pad of one ulp at the target scale keeps enclosures at higher
-    # precision strictly nested inside enclosures at lower precision
+    # precision strictly nested inside enclosures at lower precision, and each
+    # end a unit from the true value, which compare's slack bound relies on
     return (lo >> _KERNEL_GUARD_BITS) - 1, _shr_ceil(hi, _KERNEL_GUARD_BITS) + 1
 
 

@@ -511,18 +511,26 @@ def check_firoozbakht_range(start: int, stop: int,
 
 
 def _firoozbakht_run(start: int, stop: int, engine: Engine, records: list) -> CheckResult:
-    # where sign_of_log_combination's route test runs the first rung, a step reads
-    # it off two records; one that goes exact or is not LESS there runs cmp_roots
+    # where sign_of_log_combination's route test goes exact first, a step compares
+    # q**n with p**(n + 1), the step before's q**(n - 1) times p**2 where it went
+    # exact too; where it runs the first rung, a step reads it off two records, and
+    # one not LESS there runs cmp_roots
     budget, bits = engine.exact_budget, engine.rungs[0]
     rung_s, less = _rung_s(2, bits), Verdict(Ordering.LESS, Method.INTERVAL, bits)
 
     def steps():
+        power = 0  # q**n of the step before, where it went exact first
         for n, ((p, p_lo, _), (q, _, q_hi)) in enumerate(pairwise(records), start):
             size = n * (q.bit_length() + 1) + (n + 1) * (p.bit_length() + 1)
-            if n * q_hi < (n + 1) * p_lo and not _exact_first(size, budget, rung_s):
-                yield {"n": n}, less
-            else:
-                yield {"n": n}, cmp_roots(p, n, q, engine)
+            if _exact_first(size, budget, rung_s):
+                before, power = power, q**n
+                # cmp_roots' verdict; distinct primes never tie
+                greater = power > (before * p * p or p ** (n + 1))
+                yield {"n": n}, Verdict(Ordering.GREATER if greater else Ordering.LESS,
+                                        Method.EXACT, None)
+                continue
+            power = 0
+            yield {"n": n}, less if n * q_hi < (n + 1) * p_lo else cmp_roots(p, n, q, engine)
 
     return _verdict_run(f"firoozbakht-range({start}..{stop})", steps(), Ordering.LESS,
                         {"range": [start, stop]})

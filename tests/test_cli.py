@@ -516,13 +516,19 @@ class TestOutputFormats:
                 f"escalations={stats['escalations']}") in text.splitlines()
 
 
-def test_docdigest_corpus_parses(monkeypatch):
-    # tools/docdigest.py runs its corpus through main: every argv must be a command
+def _docdigest(monkeypatch):
+    # tools/docdigest.py as a module
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool puts its src/ first
     path = Path(__file__).resolve().parents[1] / "tools" / "docdigest.py"
     spec = importlib.util.spec_from_file_location("docdigest", path)
     docdigest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(docdigest)
+    return docdigest
+
+
+def test_docdigest_corpus_parses(monkeypatch):
+    # tools/docdigest.py runs its corpus through main: every argv must be a command
+    docdigest = _docdigest(monkeypatch)
     parser = build_parser()
     for argv in docdigest.CORPUS:
         assert parser.parse_args(argv).command == argv[0]
@@ -530,3 +536,24 @@ def test_docdigest_corpus_parses(monkeypatch):
         doc = docdigest.document(["check", "--seq", "fibonacci", "--from", "4", "--to", "20",
                                   "--direction", "decreasing", "--jobs", "1", "--format", fmt])
         assert "wall_ms" in doc and not re.search(r"wall_ms\W*\d", doc)
+
+
+def test_docdigest_against_names_each_changed_document(monkeypatch, capsys, tmp_path):
+    # --against prints the argv of each document whose digest differs from the
+    # saved list and exits 1 on any; one the list lacks is named on stderr only
+    docdigest = _docdigest(monkeypatch)
+    corpus = [["check", "--seq", "fibonacci", "--from", "4", "--to", str(stop), "--jobs", "1",
+               "--direction", "decreasing", "--format", "json"] for stop in (20, 30, 40)]
+    monkeypatch.setattr(docdigest, "CORPUS", corpus)
+    assert docdigest.run([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    saved = tmp_path / "digests.txt"
+    saved.write_text("\n".join(lines) + "\n")
+    assert docdigest.run(["--against", str(saved)]) == 0
+    assert capsys.readouterr() == ("", "")
+    lines[1] = "0" * 64 + lines[1][64:]
+    saved.write_text("\n".join(lines[:2]) + "\n")
+    assert docdigest.run(["--against", str(saved)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [lines[1][66:]]
+    assert err.splitlines() == [f"not compared: {lines[2][66:]}"]

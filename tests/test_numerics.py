@@ -30,6 +30,7 @@ from ratiocert.numerics import (
     _e_fixed,
     _fixed_interval,
     _fixed_rational,
+    _ln_exact,
     _ln_fixed,
     _ln_kernel,
     _ln_scaled,
@@ -455,6 +456,35 @@ def old_ln_fixed(m: int, e: int, bits: int) -> tuple[int, int]:
     lo = 2 * a_lo + (2 * k * h_lo if k > 0 else 2 * k * h_hi)
     hi = 2 * a_hi + (2 * k * h_hi if k > 0 else 2 * k * h_lo)
     return (lo >> _KERNEL_GUARD_BITS) - 1, -(-hi >> _KERNEL_GUARD_BITS) + 1
+
+
+class TestLnSlack:
+    """Each end of a pair _ln_exact returns lies at least one unit 2**-(bits+8)
+    from ln x, for every x but 1, whose pair is (0, 0): so a sum of c * ln x
+    lies the sum of |c| over x != 1 units inside its pair, which lets compare
+    show a rung open from the pair at the rung above."""
+
+    @given(st.integers(1, 4000), st.integers(0, 2**32), st.booleans(), st.integers(16, 4096))
+    @example(1, 0, False, 16)  # seed 0: a power of two, whose cut drops only zeros
+    @example(4000, 1, True, 4096)
+    @settings(max_examples=40, deadline=None)
+    def test_each_end_is_a_unit_from_ln_x(self, extra, seed, reciprocal, bits):
+        # an int wider than the kernel's cut by `extra` bits, from a seed so
+        # hypothesis never holds (or prints) a 4k-bit int, or its reciprocal
+        cut = bits + _KERNEL_EXTRA_BITS + _KERNEL_GUARD_BITS + 3
+        m = (seed and random.Random(seed).getrandbits(cut + extra)) | 1 << (cut + extra)
+        x = Fraction(1, m) if reciprocal else m
+        lo, hi = _ln_exact(x, bits)
+        w = bits + _KERNEL_EXTRA_BITS
+        with mpmath.workprec(w + 128):
+            truth = mp_fraction(mpmath.log(m) * 2**w) * (-1 if reciprocal else 1)
+        pad = Fraction(1, 2**64)  # mpmath's error is under 2**-100 units
+        assert lo + 1 <= truth + pad
+        assert truth - pad <= hi - 1
+
+    @pytest.mark.parametrize("bits", [16, 128, 1000, 4096])
+    def test_ln_one_is_the_exact_pair(self, bits):
+        assert _ln_exact(1, bits) == _ln_exact(Fraction(1), bits) == (0, 0)
 
 
 class TestLnKernelAgreesWithFold:

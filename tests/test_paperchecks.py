@@ -452,6 +452,13 @@ class TestStreamedWindowsAndRange:
         assert check_firoozbakht_range(1, 3000, engine) == _firoozbakht_range_by_steps(
             1, 3000, engine)
 
+    @pytest.mark.parametrize("start, stop", [(2, 40), (300, 900), (771, 775), (772, 800)])
+    def test_firoozbakht_range_carries_its_powers_from_any_start(self, start, stop):
+        # the exact-first steps (n <= 771 by default) carry p_{n+1}**n to the next
+        # step, which has none to start from at the range's first n
+        assert check_firoozbakht_range(start, stop) == _firoozbakht_range_by_steps(
+            start, stop, DEFAULT_ENGINE)
+
     @pytest.mark.parametrize("bits, step", [(16, 1), (128, 1), (1024, 37), (8192, 1999)])
     def test_refinement_margin_is_at_most_w_wide(self, bits, step):
         widths = [hi - lo for n in range(3, 20001, step)

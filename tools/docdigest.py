@@ -11,6 +11,14 @@ Run it in two checkouts and diff the outputs:
     python tools/docdigest.py > digests.txt
     python tools/docdigest.py --dump DIR   # also writes each document to DIR
 
+or save the digests of one checkout and check another against them:
+
+    python tools/docdigest.py --against digests.txt
+
+which prints the argv of each document whose digest differs from the saved
+one and exits 1 if any does.  A document the file has no line for is named on
+stderr, as not compared.
+
 Stdlib only.
 """
 
@@ -96,6 +104,12 @@ CORPUS = [
     ["check", "--seq", "lucas:5,6", "--from", "1", "--to", "750", "--jobs", "1", *_CHECK],
     ["check", "--seq", "lucas:3,2", "--from", "1", "--to", "1500", "--start-bits", "16",
      "--precision-cap", "1000", "--exact-budget", "0", "--jobs", "1", *_CHECK],
+    # near-ties deciding at rungs 1 and 2, which the next step reads first
+    ["check", "--seq", "lucas:7,12", "--from", "1", "--to", "800", "--jobs", "1", *_CHECK],
+    # an exact tie at n = 1, undecided at the cap's rung 2; the next step reads
+    # rung 2 first, which decides outside the slack bound, and climbs from 16 bits
+    ["check", "--seq", "lucas:2,-4", "--from", "1", "--to", "300", "--start-bits", "16",
+     "--precision-cap", "64", "--exact-budget", "0", "--jobs", "1", *_CHECK],
 ]
 
 _WALL_MS = re.compile(r'(wall_ms(?:": |: |=))\d+')
@@ -109,18 +123,33 @@ def document(argv: list[str]) -> str:
     return _WALL_MS.sub(r"\1", out.getvalue())
 
 
-def run(argv=None) -> None:
+def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", type=Path, help="also write each document to this directory")
+    parser.add_argument("--against", type=Path,
+                        help="a saved digest list: print only the documents that differ from it")
     args = parser.parse_args(argv)
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
+    saved = None
+    if args.against:
+        pairs = (line.split("  ", 1) for line in args.against.read_text().splitlines() if line)
+        saved = {command: digest for digest, command in pairs}
+    changed = 0
     for i, cmd in enumerate(CORPUS):
         doc = document(cmd)
         if args.dump:
             (args.dump / f"{i:02d}-{cmd[0]}.txt").write_text(doc, encoding="utf-8")
-        print(f"{hashlib.sha256(doc.encode()).hexdigest()}  {shlex.join(cmd)}", flush=True)
+        digest, command = hashlib.sha256(doc.encode()).hexdigest(), shlex.join(cmd)
+        if saved is None:
+            print(f"{digest}  {command}", flush=True)
+        elif command not in saved:
+            print(f"not compared: {command}", file=sys.stderr)
+        elif saved[command] != digest:
+            changed += 1
+            print(command, flush=True)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    run()
+    sys.exit(run())
