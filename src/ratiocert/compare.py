@@ -13,15 +13,15 @@ builds no Fraction.  Three routes exist:
 * adaptive, what sign_of_log_combination does: choose between the two by
   predicted cost.  A fitted model predicts the seconds of the exact route
   from the estimated cross-power size and the seconds of one rung from the
-  number of terms and the precision.  The exact route runs first only when
-  it is predicted cheaper than the first rung.  After each rung that leaves
-  zero inside the enclosure, it runs once it is predicted cheaper than the
-  next rung or than the rungs already spent, so a tie never climbs far past
-  the point where the exact route would have been cheaper.  Ties therefore
-  always end on the exact route.  Sizes over the exact budget never take it;
-  such combinations climb to the cap and are reported Undecided if still
-  unresolved there.  The prediction only picks the route: the certificate,
-  and so the sign, comes from the route that ran.
+  number of terms and the precision.  The exact route runs at the first rung
+  where it is predicted cheaper than that rung or than the rungs below it,
+  so a tie never climbs far past the point where the exact route would have
+  been cheaper, and ties always end on it.  That exit rung depends only on
+  the number of terms, the size and the engine, so it is planned before the
+  climb.  Sizes over the exact budget never take it; such combinations climb
+  to the cap and are reported Undecided if still unresolved there.  The
+  prediction only picks the route: the certificate, and so the sign, comes
+  from the route that ran.
 
 One Engine carries every setting of a decision: the ladder's start and cap
 and the exact budget.  DEFAULT_ENGINE holds the defaults, and every function
@@ -39,14 +39,14 @@ pair (one kernel call for an int) and pairs by rung, each above the first
 computed when a step first asks.  A one-leaf scan settles most steps in one
 loop on the records: where the three bases are distinct, a step sums its size
 and reads the first rung off them in a few multiply-adds; one left open climbs
-in sign_of_log_combination from that pair, with the size it summed.  After a
-step decided at rung g >= 1, the next runs no inline rung (new terms wait for a
-first pair) and reads rung g first.  If zero is inside, it is inside every rung
-below (enclosures nest), and the climb goes on from g + 1.  If rung g decides
-within the slack bound (each ln x != 1 lies a unit inside its pair), rung g - 1
-leaves zero inside, so every rung below does and g decides; otherwise the step
-climbs from the bottom.  Route tests still run at every rung, so verdicts are a
-plain climb's.  Other steps call it directly.
+in sign_of_log_combination from rung 1, with the size it summed.  After a step
+decided at rung g >= 1, the next runs no inline rung (new terms wait for a
+first pair): it reads rung g and starts its climb at g + 1 if zero is inside,
+as it is then inside every rung below (enclosures nest); at g if rung g decides
+within the slack bound (each ln x != 1 lies a unit inside its pair), as rung
+g - 1 and every rung below then leave zero inside; else at the bottom.  The
+exit rung is planned from the size, so verdicts are a plain climb's.  Other
+steps call it directly.
 
 evaluate_combination encloses (S + r) / d, r rational and d a positive integer,
 on the same integers, in a DyadicInterval for callers that keep it (ratio_table).
@@ -54,11 +54,12 @@ on the same integers, in a DyadicInterval for callers that keep it (ratio_table)
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, pairwise
+from itertools import accumulate, islice, pairwise
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence as Seq
 
 from .numerics import (
@@ -134,7 +135,7 @@ class Engine(_Value):
     Kept outside the fields: the ladder `rungs`, each rung's seconds per term `unit_s`."""
 
     _fields = ("start_bits", "cap_bits", "exact_budget")
-    __slots__ = (*_fields, "rungs", "unit_s")
+    __slots__ = (*_fields, "rungs", "unit_s", "_plans")
 
     def __init__(self, start_bits=128, cap_bits=1 << 16, exact_budget=1 << 31) -> None:
         if not isinstance(start_bits, int) or start_bits < MIN_PRECISION_BITS:
@@ -153,6 +154,7 @@ class Engine(_Value):
             rungs.append(min(rungs[-1] * 2, cap_bits))
         self._set("rungs", tuple(rungs))
         self._set("unit_s", tuple(_rung_s(1, bits) for bits in rungs))
+        self._set("_plans", {})  # terms -> _exit_rung's thresholds by rung
 
 
 DEFAULT_ENGINE = Engine()
@@ -165,6 +167,7 @@ class LogCombination(_Value):
 
     _fields = ("terms",)
     __slots__ = ("terms", "size")
+    first = 0  # the rung its climb starts at
 
     def __init__(self, terms: tuple[tuple[int, int | Fraction], ...]) -> None:
         size = 0
@@ -196,33 +199,14 @@ class LogCombination(_Value):
 
 class _StepCombination:
     # a scan step's ((c1, a1), (c0, a0), (c2, a2)) and size; pairs[k][i]: term k's
-    # pair at rung i, None until read.  The rungs below `known` leave 0 inside; the
-    # ladder reads `open` there, and `top` at rung `known` where the probe read it.
-    # `probe`: (i, bits, shift) to read first, shift = bits - rung i - 1's bits, or 0
-    __slots__ = ("terms", "size", "pairs", "known", "open", "top", "probe")
+    # pair at rung i, None until read.  The climb starts at rung `first`: the scan
+    # has shown every rung below it to leave 0 inside
+    __slots__ = ("terms", "size", "pairs", "first")
 
-    def __init__(self, terms, size, pairs, first, probe):
-        self.terms, self.size, self.pairs, self.open, self.probe = terms, size, pairs, first, probe
-        self.known, self.top = 0 if first[0] is None else 1, None
+    def __init__(self, terms, size, pairs, first):
+        self.terms, self.size, self.pairs, self.first = terms, size, pairs, first
 
     def _fixed(self, i: int, bits: int) -> tuple[int, int]:
-        if i < self.known:
-            return self.open
-        if self.probe:
-            (k, k_bits, shift), self.probe = self.probe, None
-            lo, hi = pair = self._rung(k, k_bits)
-            if lo <= 0 <= hi:  # and so is every rung below, as enclosures nest
-                self.known, self.open = k + 1, pair
-                return pair
-            # each ln x != 1 lies at least a unit inside its pair on both sides, so the
-            # pair at rung k - 1 reaches P = sum |c| units past the sum each way: 0 is
-            # inside when the sum is within P units there, as max(-lo, hi) <= P << shift shows
-            if max(-lo, hi) <= sum(abs(c) for c, x in self.terms if x != 1) << shift:
-                self.known, self.open, self.top = k, (0, 0), pair
-                return self.open
-        return self.top or self._rung(i, bits)
-
-    def _rung(self, i: int, bits: int) -> tuple[int, int]:
         for (_, x), p in zip(self.terms, self.pairs):
             if len(p) <= i:
                 p += [None] * (i - len(p))
@@ -232,6 +216,19 @@ class _StepCombination:
         ((c1, _), (c0, _), (c2, _)), (p1, p0, p2) = self.terms, self.pairs
         (l1, h1), (l0, h0), (l2, h2) = p1[i], p0[i], p2[i]
         return c1 * l1 + c0 * h0 + c2 * h2, c1 * h1 + c0 * l0 + c2 * l2
+
+
+def _probe_first(step: _StepCombination, g: int, rungs: tuple[int, ...]) -> int:
+    # the rung a step climbs from once it has read rung g >= 1: g + 1 if that rung
+    # leaves 0 inside, as every rung below does (enclosures nest); g if it decides
+    # within the slack bound, as each ln x != 1 lies at least a unit inside its pair
+    # on both sides, so rung g - 1's pair reaches P = sum |c| units (P << shift units
+    # at rung g) past the sum each way and leaves 0 inside; else 0
+    lo, hi = step._fixed(g, rungs[g])
+    if lo <= 0 <= hi:
+        return g + 1
+    slack = sum(abs(c) for c, x in step.terms if x != 1) << rungs[g] - rungs[g - 1]
+    return g if max(-lo, hi) <= slack else 0
 
 
 class Verdict(_Value):
@@ -280,15 +277,19 @@ def decide_exact(comb: LogCombination) -> Ordering:
     return Ordering.EQUAL
 
 
-def _exact_s(exact_bits: int) -> float:
-    """Predicted seconds of decide_exact for an estimated cross-power size."""
-    return _EXACT_S * min(exact_bits, 1 << 64) ** _EXACT_POWER
-
-
-def _exact_first(size: int, budget: int, rung_s: float) -> bool:
-    # sign_of_log_combination's route test before its first rung of predicted
-    # rung_s seconds: the exact route runs first iff it may and is cheaper
-    return size <= budget and _exact_s(size) < rung_s
+def _exit_rung(terms: int, size: int, engine: Engine) -> int:
+    # the rung at which a climb over `terms` logs of size `size` takes the exact route,
+    # len(engine.rungs) where it never does: the first rung i where decide_exact's
+    # predicted seconds are below max(spent, rung_s), rung_s = terms * unit_s[i] and
+    # spent the sum of those below, added in order.  That threshold never falls as i
+    # rises, so a climb's plan is a bisection of the engine's thresholds for `terms`
+    if size > engine.exact_budget:
+        return len(engine.rungs)
+    plan = engine._plans.get(terms)
+    if plan is None:
+        costs = [terms * unit_s for unit_s in engine.unit_s]
+        plan = engine._plans[terms] = tuple(map(max, accumulate(costs, initial=0.0), costs))
+    return bisect_right(plan, _EXACT_S * min(size, 1 << 64) ** _EXACT_POWER)
 
 
 def _combination_fixed(comb: LogCombination, bits: int, offset=0, divisor: int = 1
@@ -335,23 +336,16 @@ def sign_of_log_combination(comb: LogCombination, engine: Engine = DEFAULT_ENGIN
     """Certified sign of the combination; see module docstring for routes."""
     if not comb.terms:
         return Verdict(Ordering.EQUAL, Method.EXACT, None)
-    # predicted seconds of the exact route, None where it may not run
-    exact_s = _exact_s(comb.size) if comb.size <= engine.exact_budget else None
-    terms = len(comb.terms)
-    spent = 0.0
-    for i, (bits, unit_s) in enumerate(zip(engine.rungs, engine.unit_s)):
-        rung_s = terms * unit_s  # _rung_s(terms, bits), the same float
-        if exact_s is not None and exact_s < max(spent, rung_s):
-            return Verdict(decide_exact(comb), Method.EXACT, None, max(i - 1, 0))
-        lo, hi = comb._fixed(i, bits)
+    exit_rung, rungs = _exit_rung(len(comb.terms), comb.size, engine), engine.rungs
+    for i in range(comb.first, exit_rung):
+        lo, hi = comb._fixed(i, rungs[i])
         if lo > 0:
-            return Verdict(Ordering.GREATER, Method.INTERVAL, bits, i)
+            return Verdict(Ordering.GREATER, Method.INTERVAL, rungs[i], i)
         if hi < 0:
-            return Verdict(Ordering.LESS, Method.INTERVAL, bits, i)
-        spent += rung_s
-    if exact_s is not None:
-        return Verdict(decide_exact(comb), Method.EXACT, None, i)
-    return Verdict(Ordering.UNDECIDED, Method.INTERVAL, bits, i)
+            return Verdict(Ordering.LESS, Method.INTERVAL, rungs[i], i)
+    if comb.size <= engine.exact_budget:
+        return Verdict(decide_exact(comb), Method.EXACT, None, max(exit_rung - 1, 0))
+    return Verdict(Ordering.UNDECIDED, Method.INTERVAL, engine.cap_bits, exit_rung - 1)
 
 
 def cmp_roots(a_lo: int | Fraction, n: int, a_hi: int | Fraction,
@@ -497,7 +491,6 @@ def ratio_step_verdicts(
         terms = leaves[0].terms(start, stop)
         eager, lazy = map(record, terms), map(bare, terms)
         it, g = eager, 0
-        budget, rung_s = engine.exact_budget, _rung_s(3, bits)
         greater = Verdict(Ordering.GREATER, Method.INTERVAL, bits)
         less = Verdict(Ordering.LESS, Method.INTERVAL, bits)
         r1, r2 = next(it), next(it)
@@ -512,19 +505,19 @@ def ratio_step_verdicts(
             c0 = -(n + 1) * (n + 2)
             c1 = -c0 - c2 - 2  # 2n(n + 2)
             cost = c1 * s1 - c0 * s0 - c2 * s2
-            lo = hi = None
-            if not g and not _exact_first(cost, budget, rung_s):
-                lo = c1 * lo1 + c0 * hi0 + c2 * hi2
-                if lo > 0:
+            first = 0
+            if not g and _exit_rung(3, cost, engine):
+                if c1 * lo1 + c0 * hi0 + c2 * hi2 > 0:
                     yield n, greater
                     continue
-                hi = c1 * hi1 + c0 * lo0 + c2 * lo2
-                if hi < 0:
+                if c1 * hi1 + c0 * lo0 + c2 * lo2 < 0:
                     yield n, less
                     continue
-            v = sign_of_log_combination(_StepCombination(
-                ((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2), (lo, hi),
-                g and (g, engine.rungs[g], engine.rungs[g] - engine.rungs[g - 1])), engine)
+                first = 1
+            step = _StepCombination(((c1, a1), (c0, a0), (c2, a2)), cost, (p1, p0, p2), first)
+            if g:
+                step.first = _probe_first(step, g, engine.rungs)
+            v = sign_of_log_combination(step, engine)
             yield n, v
             # decided at rung g >= 1: the next step runs no inline rung and reads g first
             if v.escalations:

@@ -51,8 +51,7 @@ from .compare import (
     MethodStats,
     Verdict,
     _combination_fixed,
-    _exact_first,
-    _rung_s,
+    _exit_rung,
     cmp_roots,
     ratio_step_combination,
     ratio_step_verdict,
@@ -511,18 +510,17 @@ def check_firoozbakht_range(start: int, stop: int,
 
 
 def _firoozbakht_run(start: int, stop: int, engine: Engine, records: list) -> CheckResult:
-    # where sign_of_log_combination's route test goes exact first, a step compares
-    # q**n with p**(n + 1), the step before's q**(n - 1) times p**2 where it went
-    # exact too; where it runs the first rung, a step reads it off two records, and
-    # one not LESS there runs cmp_roots
-    budget, bits = engine.exact_budget, engine.rungs[0]
-    rung_s, less = _rung_s(2, bits), Verdict(Ordering.LESS, Method.INTERVAL, bits)
+    # where sign_of_log_combination's exit rung is 0, a step compares q**n with
+    # p**(n + 1), the step before's q**(n - 1) times p**2 where it went exact too;
+    # elsewhere a step reads the first rung off two records, and one not LESS there
+    # runs cmp_roots
+    less = Verdict(Ordering.LESS, Method.INTERVAL, engine.rungs[0])
 
     def steps():
         power = 0  # q**n of the step before, where it went exact first
         for n, ((p, p_lo, _), (q, _, q_hi)) in enumerate(pairwise(records), start):
             size = n * (q.bit_length() + 1) + (n + 1) * (p.bit_length() + 1)
-            if _exact_first(size, budget, rung_s):
+            if not _exit_rung(2, size, engine):
                 before, power = power, q**n
                 # cmp_roots' verdict; distinct primes never tie
                 greater = power > (before * p * p or p ** (n + 1))

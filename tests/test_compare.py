@@ -144,6 +144,26 @@ class TestLogCombination:
 # sign decisions
 
 
+PLAN_ENGINES = [Engine(exact_budget=0), Engine(128, 128), DEFAULT_ENGINE, Engine(16, 1000)]
+
+
+def looped_exit(terms: int, size: int, engine: Engine) -> int:
+    """The exit rung found by a route test before each rung: the first rung
+    where the exact route's predicted seconds fall below max(spent, rung_s)."""
+    from ratiocert.compare import _EXACT_POWER, _EXACT_S
+
+    exact_s = None
+    if size <= engine.exact_budget:
+        exact_s = _EXACT_S * min(size, 1 << 64) ** _EXACT_POWER
+    spent = 0.0
+    for i, unit_s in enumerate(engine.unit_s):
+        rung_s = terms * unit_s
+        if exact_s is not None and exact_s < max(spent, rung_s):
+            return i
+        spent += rung_s
+    return len(engine.rungs)
+
+
 class TestSignOfLogCombination:
     def test_spec_fibonacci_delta4(self):
         comb = LogCombination.from_pairs(
@@ -317,6 +337,35 @@ class TestSignOfLogCombination:
         assert len(engine.unit_s) == len(engine.rungs)
         for terms in range(1, 8):
             assert [terms * u for u in engine.unit_s] == [_rung_s(terms, b) for b in engine.rungs]
+
+    @given(st.sampled_from(PLAN_ENGINES), st.integers(1, 11), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_planned_exit_is_the_route_test_s(self, engine, terms, data):
+        # the exit rung planned before the climb is the one that a route test
+        # run before each rung finds
+        from ratiocert.compare import _exit_rung
+
+        budget = engine.exact_budget
+        size = data.draw(st.one_of(st.integers(0, 40).flatmap(lambda k: st.integers(0, 2**k)),
+                                   st.sampled_from([budget, budget + 1])))
+        assert _exit_rung(terms, size, engine) == looped_exit(terms, size, engine)
+
+    @pytest.mark.parametrize("engine", PLAN_ENGINES, ids=repr)
+    def test_planned_exit_moves_where_the_route_test_does(self, engine):
+        # at the sizes where the looped exit moves up a rung, and one each side,
+        # the plan reads the same floats: sizes found by bisection on the loop
+        from ratiocert.compare import _exit_rung
+
+        for terms in range(1, 12):
+            edges = [0, engine.exact_budget, engine.exact_budget + 1]
+            for rung in range(len(engine.rungs)):
+                lo, hi = 0, min(engine.exact_budget, 2**40) + 1  # looped_exit(hi) > rung
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if looped_exit(terms, mid, engine) <= rung else (lo, mid)
+                edges.append(hi)
+            for size in {max(edge + d, 0) for edge in edges for d in (-1, 0, 1)}:
+                assert _exit_rung(terms, size, engine) == looped_exit(terms, size, engine), size
 
     def test_result_serialization(self):
         v = sign_of_log_combination(
@@ -745,27 +794,32 @@ class TestCheckMonotone:
         assert unread > 0
 
     def test_climbing_steps_start_from_their_inline_pair(self, monkeypatch):
-        # a step that its inline first rung leaves open hands that rung's pair
-        # to the ladder: no record's rung-0 pair is summed a second time
+        # a step that its inline first rung leaves open climbs from rung 1: the
+        # ladder never sums its records' rung-0 pairs a second time.  Every fourth
+        # term of 2**k - 1 is pushed off the near-tie, so the steps that serve it
+        # decide at the first rung and the step after each runs its inline rung
         from ratiocert import compare
 
-        fixed = compare._StepCombination._fixed
-        opened = []
+        opened, reread = [], []
 
-        def rung_0_unread(comb, i, bits):
-            if i:
-                return fixed(comb, i, bits)
-            opened.append(comb)
-            pairs, comb.pairs = comb.pairs, tuple([None, *p[1:]] for p in comb.pairs)
-            try:
-                return fixed(comb, i, bits)
-            finally:
-                comb.pairs = pairs
+        class Recorded(compare._StepCombination):
+            __slots__ = ()
 
-        monkeypatch.setattr(compare._StepCombination, "_fixed", rung_0_unread)
-        report = check_monotone(Lucas(3, 2), 1, 300, Direction.DECREASING)
-        assert len(opened) > 100
-        assert report.stats == MethodStats(exact=17, interval=281, max_bits=512, escalations=206)
+            def __init__(self, *args):
+                super().__init__(*args)
+                if self.first == 1:  # only the inline rung sets it before the climb
+                    opened.append(self)
+
+            def _fixed(self, i, bits):
+                if not i and self in opened:
+                    reread.append(self)
+                return super()._fixed(i, bits)
+
+        monkeypatch.setattr(compare, "_StepCombination", Recorded)
+        spec = GivenTerms(*(2**k - 1 + (2 ** (k - 2) if k % 4 == 0 else 0) for k in range(1, 401)))
+        verdicts = list(ratio_step_verdicts(spec, 1, 400))
+        assert len(opened) > 50 and reread == []
+        assert verdicts == [(n, ratio_step_verdict(spec, n)) for n in range(1, 399)]
 
     def test_steps_past_rung_3_start_below_their_neighbours_rung(self):
         # from n of about 450 the steps decide at 1024 and 2048 bits; each
@@ -798,12 +852,12 @@ class TestCheckMonotone:
 
             def __init__(self, *args):
                 super().__init__(*args)
-                self.runs = self.known  # the inline rung, where it ran
+                self.runs = self.first  # the inline rung, where it ran
                 made.append(self)
 
-            def _rung(self, i, bits):
+            def _fixed(self, i, bits):
                 self.runs += 1
-                return super()._rung(i, bits)
+                return super()._fixed(i, bits)
 
         monkeypatch.setattr(compare, "_StepCombination", Counted)
         shift = {150: 1, 200: 40, 250: 80, 300: 120, 350: 200}
@@ -823,6 +877,32 @@ class TestCheckMonotone:
             for (_, x), pairs in zip(comb.terms, comb.pairs):
                 for bits, pair in zip(engine.rungs, pairs):
                     assert pair is None or pair == _ln_exact(x, bits)
+
+    @pytest.mark.parametrize("g, k, rung", [
+        (1, 63, 1), (1, -63, 1), (1, 120, 0), (1, -90, 0),
+        (2, 63, 2), (2, -63, 2), (2, 120, 1), (2, -90, 1),
+        (3, 63, 3), (3, 120, 2)])
+    def test_a_step_by_the_slack_bound_scans_as_alone(self, g, k, rung):
+        # a step that decides at rung g >= 1, then one whose sum is k/64 of the
+        # slack bound's P units at rung g - 1: inside it (|k| < 64), rung g - 1
+        # leaves 0 inside and the probe of rung g shows it; outside it, by as
+        # little as lets rung g - 1 decide, the step climbs from the bottom.  A
+        # bound of 2P, or one rung's shift more, or one that counted ln 1's
+        # coefficient (a_3 = 1 here, with P' = P + 20 = 62) would take it as
+        # deciding at g
+        import mpmath
+
+        engine = Engine(start_bits=16, cap_bits=1000, exact_budget=0)
+        units = [mpmath.mpf(2) ** -(bits + 8) for bits in engine.rungs]
+        with mpmath.workprec(2048):
+            # step 2, (1, 1/q, 2**512), sums to 64 times its P = 12 + 6 units at rung g;
+            # step 3, (2**512, 1, a_5), to k/64 of its P = 30 + 12 units at rung g - 1
+            q = int(mpmath.nint(mpmath.mpf(2) ** 256 * mpmath.exp(64 * 18 * units[g] / 12)))
+            a5 = int(mpmath.nint(mpmath.mpf(2) ** 1280 * mpmath.exp(-k * 42 * units[g - 1] / 768)))
+        spec = GivenTerms(2, Fraction(1, q), 1, 2**512, a5)
+        verdicts = [(n, ratio_step_verdict(spec, n, engine)) for n in (1, 2, 3)]
+        assert [v.escalations for _, v in verdicts] == [0, g, rung]
+        assert list(ratio_step_verdicts(spec, 1, 5, engine)) == verdicts
 
 
 class TestFindMinStart:
@@ -1067,7 +1147,7 @@ class TestEvaluateCombination:
 
         step = None
         if isinstance(comb, tuple):
-            step = compare._StepCombination(comb, 0, ([None], [None], [None]), (None, None), 0)
+            step = compare._StepCombination(comb, 0, ([None], [None], [None]), 0)
             comb = LogCombination(comb)
         outer = None
         for i, bits in enumerate(engine.rungs):
@@ -1085,27 +1165,21 @@ class TestEvaluateCombination:
     @example(near_tie(3, 5, False, 128, 48), Engine(cap_bits=4096))
     @settings(max_examples=40, deadline=None)
     def test_a_probe_shows_only_open_rungs_open(self, terms, engine):
-        # a step that reads rung h first answers the rungs below `known` with a
-        # pair that leaves 0 inside, and those from `known` with their own pairs.
-        # known is h + 1 where rung h leaves 0 inside (enclosures nest), h where
-        # it decides within the slack bound, else 0: so wherever rung h decides
-        # and the bound holds, the real pair at every rung below leaves 0 inside
+        # a step that reads rung h first climbs from h + 1 where rung h leaves 0
+        # inside (enclosures nest), from h where it decides within the slack
+        # bound, else from 0: so wherever rung h decides and the bound holds, the
+        # real pair at every rung below leaves 0 inside
         from ratiocert import compare
 
         comb, rungs = LogCombination(terms), engine.rungs
         real = [comb._fixed(i, bits) for i, bits in enumerate(rungs)]
         for h in range(1, len(rungs)):
-            step = compare._StepCombination(terms, 0, ([None], [None], [None]), (None, None),
-                                            (h, rungs[h], rungs[h] - rungs[h - 1]))
-            answers = [step._fixed(i, bits) for i, bits in enumerate(rungs[:h + 1])]
+            step = compare._StepCombination(terms, 0, ([None], [None], [None]), 0)
+            first = compare._probe_first(step, h, rungs)
             lo, hi = real[h]
-            assert step.known in ((h + 1,) if lo <= 0 <= hi else (h, 0)), h
-            for i in range(h + 1):
-                if i < step.known:
-                    assert real[i][0] <= 0 <= real[i][1], (h, i)
-                    assert answers[i][0] <= 0 <= answers[i][1], (h, i)
-                else:
-                    assert answers[i] == real[i], (h, i)
+            assert first in ((h + 1,) if lo <= 0 <= hi else (h, 0)), h
+            for i in range(first):
+                assert real[i][0] <= 0 <= real[i][1], (h, i)
 
     @given(
         log_combinations(),
